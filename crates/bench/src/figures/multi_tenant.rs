@@ -80,7 +80,7 @@ fn serve_config(fleet: Fleet, cache_capacity: usize, clients: usize) -> ServeCon
         cache_capacity,
         plan_cache_bytes: None,
         // Cold cells disable both tiers; warm cells keep the default
-        // tier-2 byte budget so repeats replay the cached shard CSTs.
+        // tier-2 byte budget so repeats replay the cached partitions.
         cst_cache_bytes: if cache_capacity == 0 {
             0
         } else {

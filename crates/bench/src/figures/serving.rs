@@ -7,7 +7,7 @@
 //! repeats. Sweeping the client count traces the throughput–latency curve;
 //! running each level twice — both cache tiers disabled ("cold": every
 //! session pays the probe/boundary search *and* the CST build) vs warm
-//! caches ("warm": repeats replay the cached shard CSTs through tier 2) —
+//! caches ("warm": repeats replay the cached partitions through tier 2) —
 //! isolates what caching buys at the service level. Per-query embedding
 //! counts are captured per mode and must be bit-identical (a cached
 //! artifact replays the exact decomposition a cold run computes); the

@@ -16,7 +16,9 @@
 //! * [`pipeline`] — the sharded, multi-threaded host pipeline: shard CSTs
 //!   built on worker threads and merged ([`build_cst_sharded`]) or streamed
 //!   in shard order into the partitioner ([`for_each_shard_cst`]) so device
-//!   offload overlaps construction;
+//!   offload overlaps construction. Every run builds: a cached plan skips
+//!   the probe, but reuse of built work happens one layer up, where
+//!   `fast::prepare_partitions` replays captured partitions;
 //! * [`planner`] — workload-aware shard planning for that pipeline:
 //!   workload-balanced boundary search, overlap-aware (hub-clustered)
 //!   decomposition, and per-query auto shard-count selection
@@ -51,9 +53,8 @@ pub use partition::{
 };
 pub use cache::{plan_provenance, query_fingerprint, Fingerprint, PlanKey};
 pub use pipeline::{
-    build_cst_sharded, for_each_shard_cst, for_each_shard_cst_cached, for_each_shard_cst_planned,
-    merge_shard_csts, CachedShards, PipelineOptions, PipelineStats, ShardCst, ShardReport,
-    DEFAULT_SHARDS,
+    build_cst_sharded, for_each_shard_cst, for_each_shard_cst_planned, merge_shard_csts,
+    PipelineOptions, PipelineStats, ShardCst, ShardReport, DEFAULT_SHARDS,
 };
 pub use planner::{
     estimated_duplication, estimated_partition_ratio, plan_pipeline_shards, plan_shards,

@@ -27,23 +27,27 @@ pub struct FastConfig {
     /// Safety cap on partition count.
     pub max_partitions: usize,
     /// Host-side worker threads for the sharded CST pipeline
-    /// (`cst::pipeline`). `1` (default) runs the sequential flow of Fig. 2;
-    /// `> 1` builds shard CSTs on worker threads and streams them through
-    /// the partitioner so offload overlaps construction. Embedding counts
+    /// (`cst::pipeline`); `> 1` builds shard CSTs on worker threads and
+    /// streams them through the partitioner so offload overlaps
+    /// construction. At `1` (default) `prepare_partitions` builds its
+    /// shards on the caller's thread, while `run_fast` and
+    /// `run_multi_fpga` run the sequential flow of Fig. 2: one contiguous
+    /// shard, overriding `pipeline_shards` and `shard_planner`. Embedding counts
     /// are identical for every value (`tests/prop_pipeline_parallel.rs`).
     pub host_threads: usize,
     /// Shard (batch) count of the pipelined host path; `None` resolves to
     /// `cst::DEFAULT_SHARDS`. Deliberately **not** derived from
     /// `host_threads`, so all downstream artefacts are thread-count
-    /// independent. Ignored when `host_threads == 1`. Under
-    /// [`ShardPlanner::Auto`] this is the planner's shard-count *cap*.
+    /// independent. Under [`ShardPlanner::Auto`] this is the planner's
+    /// shard-count *cap*. The one-shot entry points use one shard when
+    /// `host_threads == 1`.
     pub pipeline_shards: Option<usize>,
     /// Shard-boundary planning policy of the pipelined host path
     /// (`cst::planner`): `Contiguous` (the blind equal-count rule),
     /// `WorkloadBalanced`, `OverlapAware`, or `Auto` (per-query shard-count
     /// selection). Plans never depend on `host_threads`, so every planner
-    /// preserves the pipeline's thread-count determinism. Ignored when
-    /// `host_threads == 1`.
+    /// preserves the pipeline's thread-count determinism. The one-shot
+    /// entry points use `Contiguous` when `host_threads == 1`.
     pub shard_planner: ShardPlanner,
     /// Optional precomputed shard plan for the pipelined flow. A
     /// [`ShardPlan`] is a pure function of `(q, g, tree, options)`, so a
@@ -61,25 +65,25 @@ pub struct FastConfig {
     /// the probe *becomes* the build's phase 1 rather than extra planning
     /// work. Results are bit-identical either way
     /// (`tests/prop_seeded_build.rs`); disable to measure the cold path
-    /// (the `hostscale` figure runs both). Ignored when `host_threads == 1`
-    /// (the sequential flow never plans).
+    /// (the `hostscale` figure runs both). Has no effect on the one-shot
+    /// entry points at `host_threads == 1`: their contiguous plan never
+    /// probes.
     pub seed_from_probe: bool,
-    /// Optional tier-2 artifact: the refined shard CSTs *and* partition
-    /// decomposition of an earlier identical session
-    /// ([`crate::PreparedCsts`], captured via
+    /// Optional tier-2 artifact: the partition decomposition of an earlier
+    /// identical session ([`crate::PreparedCsts`], captured via
     /// [`capture_prepared`](Self::capture_prepared)). `prepare_partitions`
-    /// replays it directly — partitions stream straight to the sink with
-    /// zero build or partition work; `run_fast` reuses its shard CSTs
-    /// through the pipeline's provenance-validated path. The caller owns
-    /// keying (the serving layer uses `cst::PlanKey` × graph epoch); a
-    /// shape-mismatched artifact is ignored and the run builds fresh.
-    /// `None` (default) builds.
+    /// — and with it `run_fast` and `run_multi_fpga` — replays it
+    /// directly: partitions stream straight to the sink with zero build or
+    /// partition work, so FAST-SHARE's steal hook never fires on a replay.
+    /// The caller owns keying (the serving layer uses `cst::PlanKey` ×
+    /// graph epoch); a shape-mismatched artifact is ignored and the run
+    /// builds fresh. `None` (default) builds.
     pub prepared: Option<Arc<crate::host::PreparedCsts>>,
     /// Capture this build's [`crate::PreparedCsts`] on
     /// `prepare_partitions` (returned on `PreparePhase::prepared`) so a
     /// serving layer can insert it into a tier-2 cache. Off by default:
-    /// capture clones shard/partition `Arc`s and keeps payloads alive past
-    /// the run.
+    /// capture clones partition `Arc`s and keeps payloads alive past the
+    /// run.
     pub capture_prepared: bool,
 }
 

@@ -1,14 +1,23 @@
 //! The host-side driver: the full CPU-FPGA co-designed flow of Fig. 2.
 //!
-//! 1. construct the CST (Section V-A, measured on the real CPU) — either
-//!    sequentially or on the sharded multi-threaded pipeline
-//!    (`cst::pipeline`, enabled by [`FastConfig::host_threads`] > 1);
-//! 2. partition it to fit the kernel's BRAM budget (Section V-B);
-//! 3. offload partitions over the modelled PCIe link and run the emulated
-//!    kernel on each (Section VI), while FAST-SHARE books a bounded share of
-//!    partitions to the CPU (Algorithm 3) and steals oversized CSTs to skip
-//!    partitioning work;
-//! 4. aggregate embeddings and derive elapsed time.
+//! [`prepare_partitions`] is the only producer of partitions. It
+//!
+//! 1. constructs the CST (Section V-A, measured on the real CPU) on the
+//!    sharded pipeline (`cst::pipeline`), whose shards are built on
+//!    [`FastConfig::host_threads`] workers and consumed in shard order;
+//! 2. partitions each shard CST to fit the kernel's BRAM budget
+//!    (Section V-B), streaming every partition to a caller-supplied sink
+//!    with its `W_CST` workload estimate — or, given a tier-2 artifact
+//!    ([`FastConfig::prepared`]), streams the recorded partitions instead.
+//!
+//! The sinks decide where partitions go. The serving layer (`serve`)
+//! dispatches them to a device pool; [`run_multi_fpga`](crate::run_multi_fpga)
+//! books them to the least-loaded card; [`run_fast`] offloads them over the
+//! modelled PCIe link to the emulated kernel (Section VI), while FAST-SHARE
+//! books a bounded share to the CPU (Algorithm 3) and steals oversized CSTs
+//! before they are split; it then aggregates embeddings and derives elapsed
+//! time. At `host_threads == 1` the one-shot entry points prepare the whole
+//! CST as one contiguous shard: the paper's sequential flow.
 //!
 //! # Timing model
 //!
@@ -40,15 +49,17 @@ use crate::backend::FpgaBackend;
 use crate::config::FastConfig;
 use crate::kernel::{CollectMode, KernelOutput};
 use crate::plan::{KernelPlan, PlanError};
-use crate::scheduler::ShareScheduler;
+use crate::scheduler::{Assignment, ShareScheduler};
 use crate::variants::Variant;
 use cst::{
-    build_cst_with_stats, estimate_workload, for_each_shard_cst_cached, partition_cst_into,
-    partition_cst_with_steal, CachedShards, Cst, PartitionConfig, ShardPlan, ShardPlanner,
+    estimate_workload, for_each_shard_cst_planned, partition_cst_with_steal, Cst, ShardPlan,
+    ShardPlanner,
 };
 use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, MatchingOrder, QueryGraph, VertexId};
 use matching::CpuCostModel;
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,13 +135,6 @@ pub struct FastReport {
     /// planner, seeding disabled, or the sequential flow). Either 0 or
     /// equal to [`pipeline_shards`](Self::pipeline_shards).
     pub seeded_shards: usize,
-    /// Shards replayed from a tier-2 artifact ([`FastConfig::prepared`])
-    /// instead of built — 0 or [`pipeline_shards`](Self::pipeline_shards):
-    /// an artifact is trusted whole (provenance + full coverage) or not at
-    /// all. Cached shards do no top-down, refinement, or materialisation
-    /// work, so they contribute nothing to the build walls or
-    /// [`build_topdown_entries`](Self::build_topdown_entries).
-    pub cached_shards: usize,
     /// Phase-1 top-down scan work across shard builds (neighbour visits,
     /// each a filter evaluation — the same unit as the probe's
     /// `probe_entries`). 0 when every shard was seeded: the probe's single
@@ -142,7 +146,8 @@ pub struct FastReport {
     /// integer mask sweep); zero for cold builds.
     pub seed_time: Duration,
     /// Measured wall time of the CST build phase (first shard started →
-    /// last shard finished; equals the full build for the sequential flow).
+    /// last shard finished; the sum of shard builds when they run on one
+    /// thread). Zero when a tier-2 artifact was replayed.
     pub build_time: Duration,
     /// Total CPU time spent building shard CSTs. Exceeds
     /// [`build_time`](Self::build_time) when threads overlap; exceeds the
@@ -250,6 +255,22 @@ pub fn run_fast_with_order(
     run_fast_with_tree(q, g, config, &tree, order)
 }
 
+/// The configuration the one-shot entry points prepare under. At
+/// `host_threads == 1` they keep the paper's sequential flow: the whole
+/// CST is one contiguous shard, so no planner probe runs. Serving calls
+/// [`prepare_partitions`] directly and shards at every thread count.
+pub(crate) fn one_shot_config(config: &FastConfig) -> Cow<'_, FastConfig> {
+    if config.host_threads > 1 {
+        return Cow::Borrowed(config);
+    }
+    let mut sequential = config.clone();
+    sequential.pipeline_shards = Some(1);
+    sequential.shard_planner = ShardPlanner::Contiguous;
+    Cow::Owned(sequential)
+}
+
+/// The one-shot flow: the prepare phase with an inline driver as its sink
+/// (and, for FAST-SHARE, its steal hook), then the CPU share.
 fn run_fast_with_tree(
     q: &QueryGraph,
     g: &Graph,
@@ -257,32 +278,26 @@ fn run_fast_with_tree(
     tree: &BfsTree,
     order: &MatchingOrder,
 ) -> Result<FastReport, FastError> {
-    if config.host_threads > 1 {
-        run_fast_pipelined(q, g, config, tree, order)
-    } else {
-        let wall_start = Instant::now();
-        let build_start = Instant::now();
-        let (cst, build_stats) = build_cst_with_stats(q, g, tree, config.cst_options);
-        let build_time = build_start.elapsed();
-        run_fast_with_prepared(
-            q,
-            config,
-            tree,
-            order,
-            &cst,
-            &build_stats,
-            build_time,
-            wall_start,
-        )
-    }
+    let wall_start = Instant::now();
+    let config = one_shot_config(config);
+    let plan = KernelPlan::new(q, order, tree)?;
+    // The steal hook and the sink mutate the same driver state.
+    let driver = RefCell::new(OffloadState::new(&config, &plan, tree));
+    let phase = prepare(
+        q,
+        g,
+        &config,
+        tree,
+        order,
+        &mut |oversized| driver.borrow_mut().steal(oversized),
+        &mut |job| driver.borrow_mut().offload(job),
+    );
+    finish_report(q, &config, order, driver.into_inner(), phase, wall_start)
 }
 
-/// Shared partition/offload/schedule state (Fig. 2 steps 2/3/5). Both the
-/// sequential flow (one whole CST) and the pipelined flow (one call per
-/// shard CST, in shard order) drive partitions through
-/// [`OffloadState::partition_and_offload`]; the kernel is invoked inline
-/// per partition — its *time* is modelled, not measured, so inline
-/// execution is equivalent to streaming.
+/// The inline driver's partition/offload/schedule state (Fig. 2 steps 3/5).
+/// The kernel is invoked inline per partition — its *time* is modelled,
+/// not measured, so inline execution is equivalent to streaming.
 struct OffloadState<'a> {
     config: &'a FastConfig,
     /// The FPGA execution backend: the emulated kernel plus this variant's
@@ -293,13 +308,15 @@ struct OffloadState<'a> {
     tree: &'a BfsTree,
     prepare_start: Instant,
     scheduler: ShareScheduler,
-    cpu_queue: Vec<Cst>,
+    /// Partitions (and stolen CSTs) booked to the CPU, processed after the
+    /// partition phase (Section V-C: "CST is temporarily cached and will be
+    /// processed when all partition procedure finishes").
+    cpu_queue: Vec<Arc<Cst>>,
     fpga_outputs: Vec<KernelOutput>,
-    transfer_bytes: usize,
-    cst_bytes_total: usize,
+    /// Bytes of every partition offloaded to the FPGA.
+    offload_bytes: usize,
     stolen: usize,
     stolen_entries: usize,
-    forced: usize,
     /// Inline (emulated) kernel execution time, excluded from host times.
     kernel_wall: Duration,
     /// Wall timestamp of the first FPGA offload.
@@ -322,212 +339,50 @@ impl<'a> OffloadState<'a> {
             scheduler: ShareScheduler::new(delta),
             cpu_queue: Vec::new(),
             fpga_outputs: Vec::new(),
-            transfer_bytes: 0,
-            cst_bytes_total: 0,
+            offload_bytes: 0,
             stolen: 0,
             stolen_entries: 0,
-            forced: 0,
             kernel_wall: Duration::ZERO,
             first_offload: None,
         }
     }
 
-    /// Partitions one CST, booking each partition to a side (Algorithm 3)
-    /// and running the kernel inline on FPGA-bound ones. Partitions booked
-    /// to the CPU are cached and processed after the partition phase
-    /// (Section V-C: "CST is temporarily cached and will be processed when
-    /// all partition procedure finishes").
-    fn partition_and_offload(
-        &mut self,
-        cst: &Cst,
-        order: &MatchingOrder,
-        partition_config: &PartitionConfig,
-    ) {
-        // Both hooks mutate the same scheduling state; the partitioner takes
-        // them as two independent `&mut dyn FnMut`, so share via RefCell.
-        let shared = std::cell::RefCell::new(&mut *self);
-        let mut steal = |oversized: &Cst| -> bool {
-            let mut s = shared.borrow_mut();
-            if !s.config.variant.shares_with_cpu() {
-                return false;
-            }
-            let w = estimate_workload(oversized, s.tree).total;
-            if s.scheduler.would_assign_cpu(w) {
-                s.scheduler.book_cpu(w);
-                s.stolen_entries += oversized.total_adjacency_entries();
-                s.cpu_queue.push(oversized.clone());
-                true
-            } else {
-                false
-            }
-        };
-        let mut sink = |partition: Cst| {
-            let mut s = shared.borrow_mut();
-            let s = &mut **s;
-            let w = estimate_workload(&partition, s.tree).total;
-            match s.scheduler.assign(w) {
-                crate::scheduler::Assignment::Cpu => s.cpu_queue.push(partition),
-                crate::scheduler::Assignment::Fpga => {
-                    let bytes = partition.size_bytes();
-                    s.transfer_bytes += bytes;
-                    s.cst_bytes_total += bytes;
-                    if s.first_offload.is_none() {
-                        s.first_offload =
-                            Some(s.prepare_start.elapsed().saturating_sub(s.kernel_wall));
-                    }
-                    let t0 = Instant::now();
-                    let out = s.backend.run(&partition, s.plan, s.config.collect);
-                    s.kernel_wall += t0.elapsed();
-                    s.fpga_outputs.push(out);
-                }
-            }
-        };
-        let stats = partition_cst_with_steal(cst, order, partition_config, &mut steal, &mut sink);
-        self.stolen += stats.stolen;
-        self.forced += stats.forced;
+    /// FAST-SHARE's steal hook: an oversized CST that Algorithm 3 would
+    /// book to the CPU goes there whole, skipping its partitioning work
+    /// (Section VII-B).
+    fn steal(&mut self, oversized: &Cst) -> bool {
+        if !self.config.variant.shares_with_cpu() {
+            return false;
+        }
+        let w = estimate_workload(oversized, self.tree).total;
+        if !self.scheduler.would_assign_cpu(w) {
+            return false;
+        }
+        self.scheduler.book_cpu(w);
+        self.stolen += 1;
+        self.stolen_entries += oversized.total_adjacency_entries();
+        self.cpu_queue.push(Arc::new(oversized.clone()));
+        true
     }
-}
 
-/// Runs the sequential (unsharded) flow on a pre-built CST.
-#[allow(clippy::too_many_arguments)]
-fn run_fast_with_prepared(
-    q: &QueryGraph,
-    config: &FastConfig,
-    tree: &BfsTree,
-    order: &MatchingOrder,
-    cst: &Cst,
-    build_stats: &cst::BuildStats,
-    build_time: Duration,
-    wall_start: Instant,
-) -> Result<FastReport, FastError> {
-    let cpu_cost = CpuCostModel::default();
-    let plan = KernelPlan::new(q, order, tree)?;
-    let partition_config = config.partition_config(q.vertex_count(), cst);
-
-    let partition_start = Instant::now();
-    let mut state = OffloadState::new(config, &plan, tree);
-    state.partition_and_offload(cst, order, &partition_config);
-    // Partition time excludes the inline (emulated) kernel execution.
-    let partition_time = partition_start.elapsed().saturating_sub(state.kernel_wall);
-
-    // Modelled host times: construction touches every index entry once.
-    let modeled_build_sec = cpu_cost.index_time_sec(build_stats.adjacency_entries);
-    finish_report(
-        q,
-        config,
-        order,
-        state,
-        &cpu_cost,
-        HostTimes {
-            host_threads: 1,
-            pipeline_shards: 1,
-            shard_planner: ShardPlanner::Contiguous,
-            planned_duplication: 1.0,
-            plan_time: Duration::ZERO,
-            modeled_plan_sec: 0.0,
-            seeded_shards: 0,
-            cached_shards: 0,
-            build_topdown_entries: build_stats.topdown_entries,
-            seed_time: Duration::ZERO,
-            build_time,
-            build_cpu_time: build_time,
-            partition_time,
-            host_prepare_wall: build_time + partition_time,
-            first_offload_wall: build_time,
-            modeled_build_sec,
-            modeled_build_parallel_sec: modeled_build_sec,
-            modeled_fill_sec: modeled_build_sec,
-        },
-        wall_start,
-    )
-}
-
-/// Runs the sharded, overlapped flow: shard CSTs built on worker threads
-/// stream through the partitioner (in shard order — deterministic for any
-/// thread count) while later shards are still being built.
-fn run_fast_pipelined(
-    q: &QueryGraph,
-    g: &Graph,
-    config: &FastConfig,
-    tree: &BfsTree,
-    order: &MatchingOrder,
-) -> Result<FastReport, FastError> {
-    let wall_start = Instant::now();
-    let cpu_cost = CpuCostModel::default();
-    let plan = KernelPlan::new(q, order, tree)?;
-    let pipe_opts = config.pipeline_options(q.vertex_count());
-
-    let mut state = OffloadState::new(config, &plan, tree);
-    let mut partition_cpu = Duration::ZERO;
-    let prepare_start = state.prepare_start;
-    // Split the borrow: the closure must not capture `state` whole.
-    let state_ref = &mut state;
-    let cached_plan = config.shard_plan.as_deref();
-    // A tier-2 artifact replays its shard CSTs through the pipeline's
-    // provenance-validated reuse path; partitioning re-runs under this
-    // run's device spec (the one-shot flow owns no partition cache).
-    let cached_shards = config.prepared.as_ref().map(|p| p.shard_handles());
-    let pipe_stats = for_each_shard_cst_cached(
-        q,
-        g,
-        tree,
-        &pipe_opts,
-        cached_plan,
-        cached_shards.as_ref(),
-        |shard| {
-            if shard.cst.any_empty() {
-                return;
+    /// Books one partition to a side (Algorithm 3) and runs the kernel
+    /// inline on FPGA-bound ones.
+    fn offload(&mut self, job: PartitionJob) {
+        match self.scheduler.assign(job.workload) {
+            Assignment::Cpu => self.cpu_queue.push(job.cst),
+            Assignment::Fpga => {
+                self.offload_bytes += job.cst.size_bytes();
+                if self.first_offload.is_none() {
+                    self.first_offload =
+                        Some(self.prepare_start.elapsed().saturating_sub(self.kernel_wall));
+                }
+                let t0 = Instant::now();
+                let out = self.backend.run(&job.cst, self.plan, self.config.collect);
+                self.kernel_wall += t0.elapsed();
+                self.fpga_outputs.push(out);
             }
-            let t0 = Instant::now();
-            let kernel_before = state_ref.kernel_wall;
-            // Thresholds derive from each shard's own payload share — the
-            // only CST-dependent input — so they too are thread-count
-            // independent.
-            let partition_config = config.partition_config(q.vertex_count(), &shard.cst);
-            state_ref.partition_and_offload(&shard.cst, order, &partition_config);
-            partition_cpu += t0.elapsed().saturating_sub(state_ref.kernel_wall - kernel_before);
-        },
-    );
-    let host_prepare_wall = prepare_start.elapsed().saturating_sub(state.kernel_wall);
-    let first_offload_wall = state.first_offload.unwrap_or(pipe_stats.build_wall);
-
-    // Modelled build: the pipeline's *total* work (sharding duplicates
-    // interior candidates, honestly charged), divided over the
-    // contention-adjusted effective threads for the elapsed model.
-    let modeled_build_sec = cpu_cost.index_time_sec(pipe_stats.total_adjacency_entries());
-    let effective = cpu_cost.parallel_speedup(pipe_stats.threads);
-    let modeled_build_parallel_sec = modeled_build_sec / effective;
-    let modeled_fill_sec = modeled_build_parallel_sec / pipe_stats.shards.max(1) as f64;
-    let modeled_plan_sec = cpu_cost.partition_time_sec(pipe_stats.plan.probe_entries);
-
-    finish_report(
-        q,
-        config,
-        order,
-        state,
-        &cpu_cost,
-        HostTimes {
-            host_threads: pipe_stats.threads,
-            pipeline_shards: pipe_stats.shards,
-            shard_planner: pipe_stats.plan.planner,
-            planned_duplication: pipe_stats.plan.estimated_duplication,
-            plan_time: pipe_stats.plan_time,
-            modeled_plan_sec,
-            seeded_shards: pipe_stats.seeded_shards,
-            cached_shards: pipe_stats.cached_shards,
-            build_topdown_entries: pipe_stats.topdown_entries,
-            seed_time: pipe_stats.seed_time,
-            build_time: pipe_stats.build_wall,
-            build_cpu_time: pipe_stats.build_cpu,
-            partition_time: partition_cpu,
-            host_prepare_wall,
-            first_offload_wall,
-            modeled_build_sec,
-            modeled_build_parallel_sec,
-            modeled_fill_sec,
-        },
-        wall_start,
-    )
+        }
+    }
 }
 
 /// One partition of a session's deterministic partition stream, with its
@@ -556,25 +411,19 @@ pub struct PartitionSpec {
     pub workload: f64,
 }
 
-/// Everything [`prepare_partitions`] produces that is a pure function of
-/// `(q, g, tree, options)`: the refined shard CSTs *and* their partition
-/// decomposition. Captured on a build ([`FastConfig::capture_prepared`])
-/// and replayed on a later call ([`FastConfig::prepared`]) so a warm
-/// session does **no** build or partition work — partitions go straight to
-/// dispatch. This is the value of a serving layer's tier-2 result cache,
-/// keyed by the same `(cst::PlanKey, graph epoch)` fingerprint as the plan
-/// cache; [`payload_bytes`](Self::payload_bytes) is its eviction weight.
+/// What [`prepare_partitions`] produces that is a pure function of
+/// `(q, g, tree, options)`: the partition decomposition. Captured on a
+/// build ([`FastConfig::capture_prepared`]) and replayed on a later call
+/// ([`FastConfig::prepared`]) so a warm session does **no** build or
+/// partition work — partitions go straight to the sink. This is the value
+/// of a serving layer's tier-2 result cache, keyed by the same
+/// `(cst::PlanKey, graph epoch)` fingerprint as the plan cache;
+/// [`payload_bytes`](Self::payload_bytes) is its eviction weight.
 #[derive(Debug, Clone)]
 pub struct PreparedCsts {
-    /// Provenance of the shard plan the artifact was built under
-    /// ([`ShardPlan::provenance`]); validates shard-CST reuse on the
-    /// pipeline path ([`cst::for_each_shard_cst_cached`]).
-    pub provenance: u64,
     /// Query vertex count the artifact was prepared for — the cheap shape
     /// check of the replay path (content trust is the cache key's job).
     pub query_vertices: usize,
-    /// The refined shard CSTs, in shard order (empty shards included).
-    pub shard_csts: Vec<Arc<Cst>>,
     /// The partition decomposition, in emission order, with workloads.
     pub partitions: Vec<PartitionSpec>,
     /// Shards the plan decomposed the root set into.
@@ -583,14 +432,10 @@ pub struct PreparedCsts {
 
 impl PreparedCsts {
     /// Resident payload bytes of the artifact (candidate sets + adjacency
-    /// targets, `Cst::payload_bytes`): shard CSTs plus the partition
-    /// copies. The byte-budgeted cache's eviction weight.
+    /// targets of every partition, `Cst::payload_bytes`). The
+    /// byte-budgeted cache's eviction weight.
     pub fn payload_bytes(&self) -> usize {
-        self.shard_csts
-            .iter()
-            .map(|c| c.payload_bytes())
-            .chain(self.partitions.iter().map(|p| p.cst.payload_bytes()))
-            .sum()
+        self.partitions.iter().map(|p| p.cst.payload_bytes()).sum()
     }
 
     /// Whether the artifact's shape matches `q` — the replay path's sanity
@@ -600,21 +445,9 @@ impl PreparedCsts {
     pub fn matches_query(&self, q: &QueryGraph) -> bool {
         self.query_vertices == q.vertex_count()
             && self
-                .shard_csts
+                .partitions
                 .iter()
-                .chain(self.partitions.iter().map(|p| &p.cst))
-                .all(|c| c.query_vertex_count() == q.vertex_count())
-    }
-
-    /// The shard CSTs as a pipeline replay artifact — the
-    /// provenance-*validated* reuse path ([`cst::for_each_shard_cst_cached`])
-    /// the one-shot flow takes, where builds are skipped but partitioning
-    /// re-runs under the current device spec.
-    pub fn shard_handles(&self) -> CachedShards {
-        CachedShards {
-            provenance: self.provenance,
-            shards: self.shard_csts.clone(),
-        }
+                .all(|p| p.cst.query_vertex_count() == q.vertex_count())
     }
 }
 
@@ -639,7 +472,9 @@ pub struct PreparePhase {
     pub pipeline_shards: usize,
     /// Worker threads the build used.
     pub host_threads: usize,
-    /// Wall time of the build phase (first shard started → last finished).
+    /// Wall time of the build phase, excluding partitioning: first shard
+    /// started → last finished on worker threads, the sum of shard builds
+    /// on one thread.
     pub build_wall: Duration,
     /// Total CPU time across shard builds.
     pub build_cpu: Duration,
@@ -665,20 +500,34 @@ pub struct PreparePhase {
 }
 
 /// The prepare phase of Fig. 2 decoupled from execution: builds the CST on
-/// the (optionally sharded, pipelined) host path and streams every
-/// partition into `sink` with its workload estimate, running **no** kernel
-/// and booking **no** CPU share — execution policy belongs to the caller.
-/// This is the per-session entry point of the serving layer (`serve`):
-/// the caller derives the tree/order once (reusing them for its cache key),
-/// and a cached [`ShardPlan`] in [`FastConfig::shard_plan`] skips the
-/// probe/boundary search exactly as in [`run_fast`]. The partition
-/// sequence is deterministic for every `host_threads` value.
+/// the sharded, pipelined host path and streams every partition into
+/// `sink` with its workload estimate, running **no** kernel and booking
+/// **no** CPU share — execution policy belongs to the caller. This is the
+/// per-session entry point of the serving layer (`serve`): the caller
+/// derives the tree/order once (reusing them for its cache key), and a
+/// cached [`ShardPlan`] in [`FastConfig::shard_plan`] skips the
+/// probe/boundary search. The partition sequence is deterministic for
+/// every `host_threads` value.
 pub fn prepare_partitions(
     q: &QueryGraph,
     g: &Graph,
     config: &FastConfig,
     tree: &BfsTree,
     order: &MatchingOrder,
+    sink: &mut dyn FnMut(PartitionJob),
+) -> PreparePhase {
+    prepare(q, g, config, tree, order, &mut |_| false, sink)
+}
+
+/// [`prepare_partitions`] with a steal hook: an oversized CST for which
+/// `steal` returns `true` is consumed by the caller instead of split.
+fn prepare(
+    q: &QueryGraph,
+    g: &Graph,
+    config: &FastConfig,
+    tree: &BfsTree,
+    order: &MatchingOrder,
+    steal: &mut dyn FnMut(&Cst) -> bool,
     sink: &mut dyn FnMut(PartitionJob),
 ) -> PreparePhase {
     // Tier-2 replay: the artifact *is* the prepare phase's output — stream
@@ -720,27 +569,24 @@ pub fn prepare_partitions(
     let mut partition_time = Duration::ZERO;
     let mut index = 0usize;
     let mut forced = 0usize;
-    // Capture state for the tier-2 artifact: every shard CST (empty ones
-    // included, so the list length matches the plan's shard count for the
-    // pipeline replay path) and every emitted partition with its workload.
+    // Capture state for the tier-2 artifact: every emitted partition with
+    // its workload.
     let capture = config.capture_prepared;
-    let mut shard_csts: Vec<Arc<Cst>> = Vec::new();
     let mut partitions: Vec<PartitionSpec> = Vec::new();
-    let pipe_stats = for_each_shard_cst_cached(
+    let pipe_stats = for_each_shard_cst_planned(
         q,
         g,
         tree,
         &pipe_opts,
         config.shard_plan.as_deref(),
-        None,
         |shard| {
-            if capture {
-                shard_csts.push(Arc::clone(&shard.cst));
-            }
             if shard.cst.any_empty() {
                 return;
             }
             let t0 = Instant::now();
+            // Thresholds derive from each shard's own payload share — the
+            // only CST-dependent input — so they too are thread-count
+            // independent.
             let partition_config = config.partition_config(q.vertex_count(), &shard.cst);
             let mut emit = |partition: Cst| {
                 let workload = estimate_workload(&partition, tree).total;
@@ -758,16 +604,15 @@ pub fn prepare_partitions(
                 });
                 index += 1;
             };
-            let stats = partition_cst_into(&shard.cst, order, &partition_config, &mut emit);
+            let stats =
+                partition_cst_with_steal(&shard.cst, order, &partition_config, steal, &mut emit);
             forced += stats.forced;
             partition_time += t0.elapsed();
         },
     );
     let prepared = capture.then(|| {
         Arc::new(PreparedCsts {
-            provenance: pipe_stats.plan.provenance,
             query_vertices: q.vertex_count(),
-            shard_csts,
             partitions,
             pipeline_shards: pipe_stats.shards,
         })
@@ -791,50 +636,42 @@ pub fn prepare_partitions(
     }
 }
 
-/// Host-side timing summary handed to the report assembler.
-struct HostTimes {
-    host_threads: usize,
-    pipeline_shards: usize,
-    shard_planner: ShardPlanner,
-    planned_duplication: f64,
-    plan_time: Duration,
-    modeled_plan_sec: f64,
-    seeded_shards: usize,
-    cached_shards: usize,
-    build_topdown_entries: usize,
-    seed_time: Duration,
-    build_time: Duration,
-    build_cpu_time: Duration,
-    partition_time: Duration,
-    host_prepare_wall: Duration,
-    first_offload_wall: Duration,
-    modeled_build_sec: f64,
-    modeled_build_parallel_sec: f64,
-    modeled_fill_sec: f64,
-}
-
-/// Runs the CPU share, aggregates kernel outputs, and assembles the report.
+/// Runs the CPU share, aggregates kernel outputs, and assembles the report
+/// from the driver state and the prepare phase.
 fn finish_report(
     q: &QueryGraph,
     config: &FastConfig,
     order: &MatchingOrder,
     state: OffloadState<'_>,
-    cpu_cost: &CpuCostModel,
-    times: HostTimes,
+    phase: PreparePhase,
     wall_start: Instant,
 ) -> Result<FastReport, FastError> {
     let OffloadState {
         backend,
+        prepare_start,
         scheduler,
         cpu_queue,
         fpga_outputs,
-        transfer_bytes,
-        cst_bytes_total,
+        offload_bytes,
         stolen,
         stolen_entries,
-        forced,
+        kernel_wall,
+        first_offload,
         ..
     } = state;
+    // Host times exclude the inline (emulated) kernel execution.
+    let host_prepare_wall = prepare_start.elapsed().saturating_sub(kernel_wall);
+    let partition_time = phase.partition_time.saturating_sub(kernel_wall);
+    let cpu_cost = CpuCostModel::default();
+
+    // Modelled build: the pipeline's *total* work (sharding duplicates
+    // interior candidates, honestly charged), divided over the
+    // contention-adjusted effective threads for the elapsed model.
+    let modeled_build_sec = cpu_cost.index_time_sec(phase.build_entries);
+    let modeled_build_parallel_sec =
+        modeled_build_sec / cpu_cost.parallel_speedup(phase.host_threads);
+    let modeled_fill_sec = modeled_build_parallel_sec / phase.pipeline_shards.max(1) as f64;
+    let modeled_plan_sec = cpu_cost.partition_time_sec(phase.shard_plan.probe_entries);
 
     // --- Host: CPU share matching (Fig. 2 step 5). ---
     let cpu_match_start = Instant::now();
@@ -887,15 +724,15 @@ fn finish_report(
         .iter()
         .map(|_| config.spec.pcie.latency_sec)
         .sum::<f64>()
-        + config.spec.pcie.transfer_time_sec(transfer_bytes)
-        + config.spec.pcie.transfer_time_sec(result_bytes.min(transfer_bytes.max(1 << 20)));
+        + config.spec.pcie.transfer_time_sec(offload_bytes)
+        + config.spec.pcie.transfer_time_sec(result_bytes.min(offload_bytes.max(1 << 20)));
 
     // Modelled partitioning: every emitted partition's entries (rebuild)
     // plus roughly the same again across recursion levels. Stolen CSTs were
     // consumed before splitting — that is exactly the partition cost
     // FAST-SHARE saves (Section VII-B).
-    let cpu_entries: usize = cpu_queue.iter().map(Cst::total_adjacency_entries).sum();
-    let partition_entries = cst_bytes_total / 4 + cpu_entries.saturating_sub(stolen_entries);
+    let cpu_entries: usize = cpu_queue.iter().map(|c| c.total_adjacency_entries()).sum();
+    let partition_entries = offload_bytes / 4 + cpu_entries.saturating_sub(stolen_entries);
     let modeled_partition_sec = cpu_cost.partition_time_sec(2 * partition_entries);
 
     Ok(FastReport {
@@ -906,38 +743,37 @@ fn finish_report(
         fpga_partitions: fpga_outputs.len(),
         cpu_partitions: cpu_queue.len(),
         stolen,
-        forced,
+        forced: phase.forced,
         workload_cpu: scheduler.cpu_workload(),
         workload_fpga: scheduler.fpga_workload(),
-        host_threads: times.host_threads,
-        pipeline_shards: times.pipeline_shards,
-        shard_planner: times.shard_planner,
-        planned_duplication: times.planned_duplication,
-        plan_time: times.plan_time,
-        modeled_plan_sec: times.modeled_plan_sec,
-        seeded_shards: times.seeded_shards,
-        cached_shards: times.cached_shards,
-        build_topdown_entries: times.build_topdown_entries,
-        seed_time: times.seed_time,
-        build_time: times.build_time,
-        build_cpu_time: times.build_cpu_time,
-        partition_time: times.partition_time,
+        host_threads: phase.host_threads,
+        pipeline_shards: phase.pipeline_shards,
+        shard_planner: phase.shard_plan.planner,
+        planned_duplication: phase.shard_plan.estimated_duplication,
+        plan_time: phase.plan_time,
+        modeled_plan_sec,
+        seeded_shards: phase.seeded_shards,
+        build_topdown_entries: phase.build_topdown_entries,
+        seed_time: phase.seed_time,
+        build_time: phase.build_wall,
+        build_cpu_time: phase.build_cpu,
+        partition_time,
         cpu_match_time,
-        host_prepare_wall: times.host_prepare_wall,
-        first_offload_wall: times.first_offload_wall,
-        modeled_build_sec: times.modeled_build_sec,
-        modeled_build_parallel_sec: times.modeled_build_parallel_sec,
-        modeled_fill_sec: times.modeled_fill_sec,
+        host_prepare_wall,
+        first_offload_wall: first_offload.unwrap_or(phase.build_wall),
+        modeled_build_sec,
+        modeled_build_parallel_sec,
+        modeled_fill_sec,
         modeled_partition_sec,
         modeled_cpu_match_sec,
         kernel_cycles,
         kernel_time_sec,
         transfer_time_sec,
-        transfer_bytes,
+        transfer_bytes: offload_bytes,
         rounds,
         cst_reads,
         buffer_writes,
-        cst_bytes_total,
+        cst_bytes_total: offload_bytes,
         wall_time: wall_start.elapsed(),
     })
 }
@@ -1141,7 +977,6 @@ mod tests {
             });
             assert!(!cold.cached_csts);
             let artifact = cold.prepared.clone().expect("capture requested");
-            assert_eq!(artifact.shard_csts.len(), cold.pipeline_shards);
             assert_eq!(artifact.partitions.len(), cold.partitions);
             assert!(artifact.payload_bytes() > 0, "q{qi}: empty artifact");
             assert!(artifact.matches_query(&q));
@@ -1163,19 +998,19 @@ mod tests {
             assert_eq!(hit.build_topdown_entries, 0);
             assert_eq!(hit.partitions, cold.partitions);
 
-            // The one-shot flow reuses the artifact's shard CSTs through the
-            // provenance-validated pipeline path: same embeddings, no build.
-            let baseline = run_fast(&q, &g, &config).unwrap();
-            let mut reused_config = config.clone();
-            reused_config.capture_prepared = false;
-            reused_config.prepared = Some(artifact);
-            let reused = run_fast(&q, &g, &reused_config).unwrap();
-            assert_eq!(reused.embeddings, baseline.embeddings, "q{qi}");
-            assert_eq!(reused.kernel_cycles, baseline.kernel_cycles, "q{qi}");
-            assert_eq!(reused.cached_shards, reused.pipeline_shards, "q{qi}");
-            assert_eq!(reused.build_topdown_entries, 0);
-            assert_eq!(reused.seeded_shards, 0);
-            assert_eq!(baseline.cached_shards, 0);
+            // The one-shot flow replays the same partitions: no build, and
+            // under FAST-SEP (no steal can act on already-split partitions)
+            // the same kernel work as a fresh run.
+            let mut sep = warm.clone();
+            sep.variant = Variant::Sep;
+            sep.delta = 0.0;
+            sep.prepared = None;
+            let baseline = run_fast(&q, &g, &sep).unwrap();
+            sep.prepared = Some(artifact);
+            let replayed = run_fast(&q, &g, &sep).unwrap();
+            assert_eq!(replayed.embeddings, baseline.embeddings, "q{qi}");
+            assert_eq!(replayed.kernel_cycles, baseline.kernel_cycles, "q{qi}");
+            assert_eq!(replayed.build_topdown_entries, 0, "q{qi}");
         }
     }
 
@@ -1202,7 +1037,38 @@ mod tests {
         warm.prepared = Some(artifact);
         let expected = run_fast(q3, &g, &config).unwrap();
         let report = run_fast(q3, &g, &warm).unwrap();
-        assert_eq!(report.embeddings, expected.embeddings);
-        assert_eq!(report.cached_shards, 0, "mismatched artifact must rebuild");
+        let modelled = |r: &FastReport| {
+            (
+                r.embeddings,
+                r.kernel_cycles,
+                r.fpga_partitions,
+                r.cpu_partitions,
+                r.build_topdown_entries,
+                r.modeled_total_sec().to_bits(),
+            )
+        };
+        assert_eq!(modelled(&report), modelled(&expected));
+        assert!(report.build_topdown_entries > 0, "mismatched artifact must rebuild");
+    }
+
+    #[test]
+    fn sequential_pipeline_build_wall_excludes_partitioning() {
+        let q = queries().remove(2);
+        let g = random_labelled_graph(120, 0.15, 2, 911);
+        let mut config = FastConfig::test_small(Variant::Share);
+        config.pipeline_shards = Some(4);
+        let root = select_root(&q, &g);
+        let tree = BfsTree::new(&q, root);
+        let order = path_based_order(&q, &tree, &g);
+        let opts = config.pipeline_options(q.vertex_count());
+        let mut non_empty = 0;
+        cst::for_each_shard_cst(&q, &g, &tree, &opts, |s| {
+            non_empty += usize::from(!s.cst.any_empty());
+        });
+        assert!(non_empty >= 2, "need at least two non-empty shards");
+        let phase = prepare_partitions(&q, &g, &config, &tree, &order, &mut |_| {});
+        assert_eq!(phase.host_threads, 1);
+        assert!(phase.partitions > 0);
+        assert_eq!(phase.build_wall, phase.build_cpu);
     }
 }

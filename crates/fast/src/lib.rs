@@ -24,7 +24,11 @@
 //!   the BRAM-only partial-results buffer;
 //! * [`variants`] — FAST-DRAM/BASIC/TASK/SEP/SHARE and their cycle models;
 //! * [`scheduler`] — the CPU-share scheduler (Algorithm 3);
-//! * [`host`] — the co-designed driver (Fig. 2);
+//! * [`host`] — the co-designed flow (Fig. 2): [`prepare_partitions`], the
+//!   one producer of partitions (sharded CST build + partitioning, or a
+//!   tier-2 replay of a captured [`PreparedCsts`]), and [`run_fast`], an
+//!   inline driver over it that books partitions to the FPGA or the CPU
+//!   (Algorithm 3) and runs the emulated kernel;
 //! * [`backend`] — the [`ExecutionBackend`] seam: partition execution +
 //!   cost-model pricing behind one trait (emulated FPGA or CPU fallback),
 //!   the unit a heterogeneous serving pool schedules; execution is
@@ -32,7 +36,8 @@
 //! * [`fault`] — [`FaultInjector`]: a deterministic seeded fault-injecting
 //!   wrapper backend (transient errors, permanent death, stalls, silent
 //!   corruption, slowdowns) for chaos tests and figures;
-//! * [`multi_fpga`] — the Section VII-E extension;
+//! * [`multi_fpga`] — the Section VII-E extension: the same prepare with a
+//!   least-loaded-card sink;
 //! * [`des_check`] — discrete-event cross-validation of the cycle model.
 
 pub mod backend;

@@ -5,16 +5,16 @@
 //! to the FPGA with the minimum total workload and collect final results
 //! after all the FPGAs complete their tasks."
 //!
-//! This module implements exactly that: least-loaded assignment of CST
-//! partitions across `k` emulated cards, with per-card cycle totals and the
-//! resulting makespan/speedup.
+//! This module implements exactly that as a sink over the one prepare
+//! path ([`prepare_partitions`]): each partition goes to the card with the
+//! least booked workload, with per-card cycle totals and the resulting
+//! makespan/speedup.
 
+use crate::backend::FpgaBackend;
 use crate::config::FastConfig;
-use crate::host::FastError;
-use crate::kernel::{run_kernel, CollectMode};
+use crate::host::{one_shot_config, prepare_partitions, FastError};
+use crate::kernel::CollectMode;
 use crate::plan::KernelPlan;
-use cst::{build_cst_with_stats, estimate_workload, partition_cst_into, Cst};
-use fpga_sim::WorkloadCounts;
 use graph_core::{path_based_order, select_root, BfsTree, Graph, QueryGraph};
 
 /// Report of a multi-card run.
@@ -70,32 +70,25 @@ pub fn run_multi_fpga(
     let root = select_root(q, g);
     let tree = BfsTree::new(q, root);
     let order = path_based_order(q, &tree, g);
-    let (cst, _) = build_cst_with_stats(q, g, &tree, config.cst_options);
+    let config = one_shot_config(config);
     let plan = KernelPlan::new(q, &order, &tree)?;
-    let partition_config = config.partition_config(q.vertex_count(), &cst);
-    let model = config.cycle_model();
+    let backend = FpgaBackend::from_config(&config);
 
     let mut per_card_workload = vec![0.0f64; cards];
     let mut per_card_cycles = vec![0u64; cards];
     let mut per_card_partitions = vec![0usize; cards];
-    let mut per_card_counts = vec![WorkloadCounts::default(); cards];
     let mut embeddings = 0u64;
-
-    let mut sink = |partition: Cst| {
-        let w = estimate_workload(&partition, &tree).total;
+    prepare_partitions(q, g, &config, &tree, &order, &mut |job| {
         // Least-loaded card by booked workload (ties → lowest index).
         let card = (0..cards)
             .min_by(|&a, &b| per_card_workload[a].total_cmp(&per_card_workload[b]))
             .expect("cards >= 1");
-        per_card_workload[card] += w;
+        per_card_workload[card] += job.workload;
         per_card_partitions[card] += 1;
-        let out = run_kernel(&partition, &plan, config.spec.no, CollectMode::CountOnly);
+        let out = backend.run(&job.cst, &plan, CollectMode::CountOnly);
         embeddings += out.embeddings;
-        per_card_counts[card].n += out.counts.n;
-        per_card_counts[card].m += out.counts.m;
-        per_card_cycles[card] += config.variant.kernel_cycles(&model, out.counts);
-    };
-    partition_cst_into(&cst, &order, &partition_config, &mut sink);
+        per_card_cycles[card] += backend.price_cycles(out.counts);
+    });
 
     let makespan_cycles = per_card_cycles.iter().copied().max().unwrap_or(0);
     let single_card_cycles = per_card_cycles.iter().sum();

@@ -14,8 +14,8 @@
 //!   `ShardPlan::approx_bytes` ([`CacheBudget::Bytes`]): probe-carrying
 //!   plans dominate memory, which an entry-count LRU can't see.
 //! * [`CstCache`] (tier 2): [`cst::PlanKey`] → [`Arc<fast::PreparedCsts>`]
-//!   — the refined shard CSTs *and* their partition decomposition, weighed
-//!   by `PreparedCsts::payload_bytes`. A hit makes a warm serve pure
+//!   — the partition decomposition of a build, weighed by
+//!   `PreparedCsts::payload_bytes`. A hit makes a warm serve pure
 //!   dispatch + kernel: no top-down, no refinement, no materialisation, no
 //!   partitioning.
 //!
@@ -282,7 +282,7 @@ impl PlanCache {
 }
 
 /// Tier 2: a byte-budgeted LRU map `PlanKey → Arc<fast::PreparedCsts>` —
-/// refined shard CSTs plus partition decomposition, weighed by
+/// a build's partition decomposition, weighed by
 /// `PreparedCsts::payload_bytes`. A hit skips *all* build work; resident
 /// bytes never exceed the budget (`tests/prop_cst_cache.rs` proves the
 /// invariant over randomized sequences).

@@ -16,8 +16,8 @@
 //!   fingerprint × tenant graph epoch × planning options), partitioned per
 //!   tenant and unified on one size-aware LRU ([`SizedCache`]): tier 1
 //!   caches the [`ShardPlan`](cst::ShardPlan) (skip the probe/boundary
-//!   search), tier 2 ([`CstCache`]) caches the refined shard CSTs *and*
-//!   their partition decomposition under a **byte budget**
+//!   search), tier 2 ([`CstCache`]) caches the build's partition
+//!   decomposition under a **byte budget**
 //!   (`Cst::payload_bytes`), so a warm serve is pure dispatch + kernel —
 //!   zero build work — and one tenant's entries can never collide with
 //!   another's;

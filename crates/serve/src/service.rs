@@ -134,8 +134,8 @@ pub struct ServeConfig {
     /// [`TenantConfig::cache_capacity`] override still counts entries.
     pub plan_cache_bytes: Option<usize>,
     /// Byte budget of each tenant's **tier-2** shard-CST cache partition
-    /// ([`crate::CstCache`]): the refined shard CSTs and their partition
-    /// decompositions, evicted LRU by `Cst::payload_bytes`. A hit makes a
+    /// ([`crate::CstCache`]): partition decompositions, evicted LRU by
+    /// `Cst::payload_bytes`. A hit makes a
     /// warm serve pure dispatch + kernel (zero build work). 0 disables
     /// tier 2. Override per tenant via [`TenantConfig::cst_cache_bytes`].
     pub cst_cache_bytes: usize,
@@ -447,8 +447,7 @@ struct TenantState {
     epoch: AtomicU64,
     /// Tier 1: shard plans.
     cache: Mutex<PlanCache>,
-    /// Tier 2: refined shard CSTs + partition decompositions,
-    /// byte-budgeted.
+    /// Tier 2: partition decompositions, byte-budgeted.
     cst_cache: Mutex<CstCache>,
     metrics: Mutex<MetricsState>,
 }
@@ -1656,15 +1655,15 @@ fn build_session(inner: &Inner, slot: &SessionSlot, resumed: bool) -> BuildOutco
 
     // Two-tier lookup under one single-flight gate, keyed (tenant, key):
     //
-    // * **Tier-2 hit** — the refined shard CSTs *and* their partition
-    //   decomposition replay through `FastConfig::prepared`: no planning,
+    // * **Tier-2 hit** — the partition decomposition replays through
+    //   `FastConfig::prepared`: no planning,
     //   no build, no partitioning — the session is pure dispatch + kernel.
     //   No flight is claimed (there is nothing left to compute).
     // * **Tier-2 miss, plan hit** — the stored plan skips the probe and
     //   the build is seeded from its riding probe, as before tier 2. With
     //   tier 2 enabled the flight is **held through the build** and the
     //   finished artifact is inserted before release, so N identical
-    //   concurrent cold sessions build the shard CSTs exactly once:
+    //   concurrent cold sessions build exactly once:
     //   waiters wake straight into a tier-2 hit.
     // * **Both miss** — the plan is computed *here* (the same
     //   `plan_pipeline_shards` the pipeline would call) and published
