@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the observability layer: warm session
 //! latency with tracing off vs on (the overhead the `obsfig` figure
 //! bounds at 2%), the raw cost of the hot-path primitives (histogram
-//! record, counter increment, inert vs live span), and the Chrome
+//! record, inert vs live span), and the Chrome
 //! export render+validate pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,7 +26,7 @@ fn config() -> ServeConfig {
 }
 
 /// Warm end-to-end session latency, obs off vs obs on: the price of the
-/// session/build/execute spans plus the registry hooks per session.
+/// session/build/execute spans per session.
 fn bench_traced_session(c: &mut Criterion) {
     let g = Arc::new(generate_ldbc(&LdbcParams::with_scale_factor(0.05), 42));
     let mut group = c.benchmark_group("serve/obs_session");
@@ -40,7 +40,7 @@ fn bench_traced_session(c: &mut Criterion) {
         }
         let service = FastService::new(Arc::clone(&g), config());
         // Prime the warm tiers so every measured iteration is pure
-        // dispatch + kernel (+ obs hooks).
+        // dispatch + kernel (+ spans).
         service.submit(benchmark_query(1)).wait().expect("prime");
         let label = if traced { "obs-on" } else { "obs-off" };
         group.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
@@ -59,8 +59,8 @@ fn bench_traced_session(c: &mut Criterion) {
     group.finish();
 }
 
-/// The hot-path primitives in isolation: one histogram record, one
-/// counter increment, one inert span open/close, one live span.
+/// The hot-path primitives in isolation: one histogram record, one inert
+/// span open/close, one live span.
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs/primitives");
     let mut hist = obs::Histogram::new();
@@ -72,8 +72,6 @@ fn bench_primitives(c: &mut Criterion) {
         });
     });
     black_box(hist.count());
-    let counter = obs::counter("bench_obs_counter_total", "benchmark counter");
-    group.bench_function("counter_inc", |b| b.iter(|| counter.inc()));
     obs::reset();
     obs::disable();
     group.bench_function("span_inert", |b| {

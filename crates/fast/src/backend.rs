@@ -35,28 +35,6 @@ use cst::Cst;
 use fpga_sim::{CycleModel, FpgaSpec, WorkloadCounts};
 use graph_core::{Graph, MatchingOrder, QueryGraph, VertexId};
 use matching::{run_backtrack, CpuCostModel, EngineStats, ExtensionMethod, RunLimits};
-use std::sync::{Arc, OnceLock};
-
-/// Lifetime count of partition executions across every in-process
-/// backend, by class — registered once, bumped with one relaxed atomic.
-fn exec_counter(class: BackendClass) -> &'static Arc<obs::Counter> {
-    static FPGA: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    static CPU: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    match class {
-        BackendClass::Fpga => FPGA.get_or_init(|| {
-            obs::counter(
-                "obs_fpga_partitions_total",
-                "Partitions executed on emulated FPGA backends",
-            )
-        }),
-        BackendClass::Cpu => CPU.get_or_init(|| {
-            obs::counter(
-                "obs_cpu_partitions_total",
-                "Partitions executed on CPU backends",
-            )
-        }),
-    }
-}
 
 /// Per-session context shared by every partition execution: derived once
 /// by the caller (tree/order/kernel plan), borrowed by each
@@ -308,7 +286,6 @@ impl ExecutionBackend for FpgaBackend {
         let kernel_cycles = self.price_cycles(out.counts);
         span.arg_u64("embeddings", out.embeddings);
         span.arg_u64("cycles", kernel_cycles);
-        exec_counter(BackendClass::Fpga).inc();
         ExecutionStep::ready(Ok(BackendOutput {
             embeddings: out.embeddings,
             collected: out.collected,
@@ -363,7 +340,6 @@ impl ExecutionBackend for CpuBackend {
         let mut span = obs::span_cat("execute", "exec");
         span.arg_str("backend", "cpu");
         span.arg_u64("partition", job.index as u64);
-        exec_counter(BackendClass::Cpu).inc();
         ExecutionStep::ready(Ok(match ctx.collect {
             CollectMode::CountOnly => {
                 let (_, stats) = run_backtrack(

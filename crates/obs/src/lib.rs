@@ -1,37 +1,34 @@
 //! `obs` — low-overhead observability for the FAST serving stack
 //! (DESIGN.md §10).
 //!
-//! Three pieces, one process-wide state:
+//! Three pieces:
 //!
-//! - **Metrics** ([`mod@registry`]): named atomic [`Counter`]s and
-//!   [`Gauge`]s plus log-bucketed [`Histogram`]s (the histograms are
-//!   plain values owned by their call sites — `serve` keeps them inside
-//!   its own metrics state so window deltas and lifetime reports come
-//!   from one source of truth).
+//! - **Histograms** ([`Histogram`]): log-bucketed, exactly mergeable
+//!   sample distributions. They are plain values owned by their call
+//!   sites — `serve` keeps them inside its per-tenant metrics state,
+//!   from which its reports, rolling windows and Prometheus exposition
+//!   are all derived.
 //! - **Tracing** ([`span`], [`event`], [`record_span`]): bounded
 //!   in-memory buffers of spans/instant events on per-concern *tracks*
-//!   (host, devices, builder threads, one track per serving session).
+//!   (host, devices, builder threads, one track per serving session),
+//!   held in one process-wide state.
 //! - **Exports**: Chrome `trace_event` JSON ([`chrome_trace_json`],
-//!   Perfetto-loadable, self-validating via [`chrome::validate`]) and a
-//!   Prometheus text exposition ([`Registry::prometheus_text`]).
+//!   Perfetto-loadable, self-validating via [`chrome::validate`]).
 //!
 //! Cost model: tracing is **off by default** — every recording entry
 //! point first reads one relaxed atomic ([`enabled`]); when disabled, a
-//! [`SpanGuard`] is inert (no clock read, no allocation). Counters and
-//! gauges are single relaxed atomic ops. Building the crate with
-//! `--no-default-features` removes the `trace` feature and folds every
-//! recording body to a compile-time no-op.
+//! [`SpanGuard`] is inert (no clock read, no allocation). Building the
+//! crate with `--no-default-features` removes the `trace` feature and
+//! folds every recording body to a compile-time no-op.
 
 #![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod hist;
 pub mod json;
-pub mod registry;
 pub mod trace;
 
 pub use hist::Histogram;
-pub use registry::{Counter, Gauge, Registry};
 pub use trace::{
     session_track, device_track, ArgValue, Args, EventRecord, SpanGuard, SpanRecord, Tracer,
     DEVICE_BASE, SESSION_BASE, THREAD_BASE, TRACK_HOST,
@@ -47,12 +44,11 @@ use std::time::Instant;
 /// trace contents should early-return when this is `false`.
 pub const COMPILED: bool = cfg!(feature = "trace");
 
-/// The process-wide observability state.
+/// The process-wide tracing state.
 pub struct Obs {
     enabled: AtomicBool,
     epoch: Instant,
     pub(crate) tracer: Tracer,
-    registry: Registry,
 }
 
 static OBS: OnceLock<Obs> = OnceLock::new();
@@ -64,7 +60,6 @@ pub fn obs() -> &'static Obs {
         enabled: AtomicBool::new(false),
         epoch: Instant::now(),
         tracer: Tracer::default(),
-        registry: Registry::default(),
     })
 }
 
@@ -85,12 +80,10 @@ pub fn enabled() -> bool {
     COMPILED && obs().enabled.load(Ordering::Relaxed)
 }
 
-/// Clears trace buffers and zeroes every registered metric (handles
-/// stay valid). Used between measurement arms and by tests.
+/// Clears the trace buffers and the dropped-record count. Used between
+/// measurement arms and by tests.
 pub fn reset() {
-    let o = obs();
-    o.tracer.clear();
-    o.registry.reset();
+    obs().tracer.clear();
 }
 
 /// Nanoseconds since the obs epoch.
@@ -246,25 +239,6 @@ pub fn trace_dropped() -> u64 {
 pub fn chrome_trace_json() -> String {
     let (spans, events) = trace_snapshot();
     chrome::render(&spans, &events)
-}
-
-// ---------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------
-
-/// The global metrics [`Registry`].
-pub fn registry() -> &'static Registry {
-    &obs().registry
-}
-
-/// Shorthand for [`Registry::counter`] on the global registry.
-pub fn counter(name: &'static str, help: &'static str) -> std::sync::Arc<Counter> {
-    registry().counter(name, help)
-}
-
-/// Shorthand for [`Registry::gauge`] on the global registry.
-pub fn gauge(name: &'static str, help: &'static str) -> std::sync::Arc<Gauge> {
-    registry().gauge(name, help)
 }
 
 #[cfg(test)]

@@ -466,11 +466,6 @@ impl DevicePool {
         d.consecutive_failures += 1;
         if permanent {
             d.stats.health = HealthState::Evicted;
-            obs::counter(
-                "obs_device_evictions_total",
-                "Devices permanently evicted from the pool",
-            )
-            .inc();
             obs::event_on(
                 obs::device_track(device),
                 "evicted",
@@ -502,7 +497,6 @@ impl DevicePool {
         d.penalty_shift = (d.penalty_shift + 1).min(QUARANTINE_MAX_SHIFT);
         d.consecutive_failures = 0;
         d.suspect_strikes = 0;
-        obs::counter("obs_quarantines_total", "Device quarantine entries").inc();
         obs::event_on(
             obs::device_track(device),
             "quarantine",
@@ -518,45 +512,6 @@ impl DevicePool {
     /// Per-device counters.
     pub fn snapshot(&self) -> Vec<DeviceStats> {
         self.devices.iter().map(|d| d.stats).collect()
-    }
-
-    /// The busiest device's modelled execution seconds — the fleet's
-    /// makespan, comparable across backend classes.
-    pub fn makespan_sec(&self) -> f64 {
-        self.devices
-            .iter()
-            .map(|d| d.stats.busy_sec)
-            .fold(0.0, f64::max)
-    }
-
-    /// Total modelled execution seconds across devices.
-    pub fn busy_sec(&self) -> f64 {
-        self.devices.iter().map(|d| d.stats.busy_sec).sum()
-    }
-
-    /// Total modelled cycles across FPGA devices.
-    pub fn total_cycles(&self) -> u64 {
-        self.devices.iter().map(|d| d.stats.cycles).sum()
-    }
-
-    /// Load imbalance: max/mean booked workload (1.0 when idle).
-    pub fn imbalance(&self) -> f64 {
-        let max = self
-            .devices
-            .iter()
-            .map(|d| d.stats.total_workload)
-            .fold(0.0, f64::max);
-        let mean = self
-            .devices
-            .iter()
-            .map(|d| d.stats.total_workload)
-            .sum::<f64>()
-            / self.devices.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
     }
 }
 
@@ -662,9 +617,6 @@ mod tests {
         assert_eq!(snap[d].partitions, 1);
         assert_eq!(snap[d].cycles, 1000);
         assert_eq!(snap[d].busy_sec, 0.25);
-        assert_eq!(pool.makespan_sec(), 0.25);
-        assert_eq!(pool.busy_sec(), 0.25);
-        assert_eq!(pool.total_cycles(), 1000);
         // Calibrate the other device to the same rate: with the booking
         // released and rates equal, dispatch ties back to lowest index.
         pool.complete(1 - d, 7.0, 0.25, 0);

@@ -56,8 +56,9 @@
 //!   quarantined fleet degrades to an emergency CPU share;
 //! * [`metrics`] — per-query, per-tenant, and service-level metrics
 //!   ([`ServeReport`], [`TenantSummary`]): sustained QPS, queue wait,
-//!   p50/p99 latency, cache hit rate, per-device utilisation. Latency
-//!   distributions are streaming [`obs::Histogram`]s, so
+//!   p50/p99 latency, cache hit rate, per-device utilisation. Service
+//!   totals merge the per-tenant states; latency distributions are
+//!   streaming [`obs::Histogram`]s, so
 //!   [`FastService::report_window`] serves rolling-window deltas whose
 //!   integer counters reconcile bit-exactly against the lifetime report,
 //!   and [`FastService::prometheus_text`] renders a text exposition.
@@ -68,10 +69,14 @@
 //! trace spans (`session ⊇ build ⊇ execute`, plus `queue_wait`/`plan`),
 //! instant events for faults (`retry`, `failover`, `deadline_shed`,
 //! `degraded`) and device health transitions (`quarantine`, `probation`,
-//! `recovered`, `evicted`, `corruption_strike`), and registry counters
-//! mirroring the report fields. Tracing is off unless [`obs::enable`] is
-//! called; when off, every hook is a single relaxed atomic load. See
-//! DESIGN.md §10 and `examples/observability.rs`.
+//! `recovered`, `evicted`, `corruption_strike`). Metrics are not part of
+//! the process-wide `obs` state: each tenant's metrics state is the only
+//! store of session outcomes, and [`FastService::report`],
+//! [`FastService::report_window`] and [`FastService::prometheus_text`]
+//! are all derived from it, so a service reports its own sessions only.
+//! Tracing is off unless [`obs::enable`] is called; when off, every hook
+//! is a single relaxed atomic load. See DESIGN.md §10 and
+//! `examples/observability.rs`.
 //!
 //! # Determinism
 //!

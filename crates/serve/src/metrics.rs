@@ -1,21 +1,28 @@
-//! Service-level metrics: the [`ServeReport`], its per-tenant
-//! [`TenantSummary`] slices, and the Prometheus text rendering.
+//! Service-level metrics: the per-tenant `MetricsState` (the only
+//! store of session metrics), the [`ServeReport`] derived from it, its
+//! per-tenant [`TenantSummary`] slices, and the Prometheus text
+//! rendering.
 //!
 //! Latency-shaped sample sets are held as streaming log-bucketed
 //! [`obs::Histogram`]s rather than raw sample vectors: constant memory
-//! regardless of session count, exact mergeable counters (so rolling
-//! windows are true deltas of the lifetime state), and nearest-rank
-//! quantiles read straight from the bucket counts — one pass per
-//! report instead of one sort per percentile call.
+//! regardless of session count, exact mergeable counters (so service
+//! totals are the merge of the tenant states and rolling windows are
+//! true deltas of the lifetime state), and nearest-rank quantiles read
+//! straight from the bucket counts — one pass per report instead of one
+//! sort per percentile call.
 
 use crate::cache::CacheStats;
-use crate::devices::DeviceStats;
+use crate::devices::{DeviceStats, HealthState};
 use crate::tenant::TenantId;
+use fast::BackendClass;
 use obs::Histogram;
+use std::time::Instant;
 
 /// Nearest-rank percentile of an already **sorted** slice (`q` in
-/// `[0, 1]`); 0.0 for an empty slice.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+/// `[0, 1]`); 0.0 for an empty slice — the sort-once path for call
+/// sites that need several quantiles of the same sample set.
+pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     if sorted.is_empty() {
         return 0.0;
     }
@@ -24,23 +31,182 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Nearest-rank percentile of `samples` (any order; `q` in `[0, 1]`).
-/// Returns 0.0 for an empty slice. Sorts a copy — when several quantiles
-/// of the same set are needed, sort once and call [`percentile_sorted`],
-/// or better, stream the samples into an [`obs::Histogram`] as the
-/// report assembly path does.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    nearest_rank(&sorted, q)
+/// One tenant's session metrics. Every session outcome is folded into
+/// exactly one of these (its tenant's); service-wide totals are the
+/// [`merge`](Self::merge) of all of them, so a report's totals equal the
+/// sum of its tenant slices by construction.
+///
+/// Histogram bucket counts are exact and mergeable, so
+/// [`FastService::report_window`](crate::FastService::report_window)
+/// deltas reconcile bit-exactly against the lifetime report on every
+/// integer counter, and quantiles are read without any per-report sort.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct MetricsState {
+    pub(crate) submitted: u64,
+    pub(crate) completed: u64,
+    pub(crate) failed: u64,
+    pub(crate) total_embeddings: u64,
+    pub(crate) retries: u64,
+    pub(crate) failovers: u64,
+    pub(crate) corruption_catches: u64,
+    pub(crate) deadline_misses: u64,
+    pub(crate) degraded_sec: f64,
+    pub(crate) latencies: Histogram,
+    pub(crate) queue_waits: Histogram,
+    pub(crate) device_queues: Histogram,
+    pub(crate) plan_hits: Histogram,
+    pub(crate) plan_misses: Histogram,
+    pub(crate) build_hits: Histogram,
+    pub(crate) build_misses: Histogram,
+    pub(crate) first_submit: Option<Instant>,
+    pub(crate) last_done: Option<Instant>,
 }
 
-/// Nearest-rank percentile of an already **sorted** slice — the
-/// sort-once path for call sites that need several quantiles of the
-/// same sample set.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-    nearest_rank(sorted, q)
+impl MetricsState {
+    /// Adds `other`'s counters and histogram buckets to `self`; the
+    /// serving wall widens to span both (earliest submit, latest done).
+    pub(crate) fn merge(&mut self, other: &MetricsState) {
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.failed += other.failed;
+        self.total_embeddings += other.total_embeddings;
+        self.retries += other.retries;
+        self.failovers += other.failovers;
+        self.corruption_catches += other.corruption_catches;
+        self.deadline_misses += other.deadline_misses;
+        self.degraded_sec += other.degraded_sec;
+        self.latencies.merge(&other.latencies);
+        self.queue_waits.merge(&other.queue_waits);
+        self.device_queues.merge(&other.device_queues);
+        self.plan_hits.merge(&other.plan_hits);
+        self.plan_misses.merge(&other.plan_misses);
+        self.build_hits.merge(&other.build_hits);
+        self.build_misses.merge(&other.build_misses);
+        self.first_submit = self.first_submit.into_iter().chain(other.first_submit).min();
+        self.last_done = self.last_done.max(other.last_done);
+    }
+
+    /// Counters accumulated since `base` was captured — the rolling-window
+    /// delta. Integer counters and histogram bucket counts subtract
+    /// exactly; the f64 sums (`degraded_sec`, histogram sums) subtract in
+    /// floating point and are clamped non-negative.
+    pub(crate) fn delta(&self, base: &MetricsState) -> MetricsState {
+        MetricsState {
+            submitted: self.submitted.saturating_sub(base.submitted),
+            completed: self.completed.saturating_sub(base.completed),
+            failed: self.failed.saturating_sub(base.failed),
+            total_embeddings: self.total_embeddings.saturating_sub(base.total_embeddings),
+            retries: self.retries.saturating_sub(base.retries),
+            failovers: self.failovers.saturating_sub(base.failovers),
+            corruption_catches: self
+                .corruption_catches
+                .saturating_sub(base.corruption_catches),
+            deadline_misses: self.deadline_misses.saturating_sub(base.deadline_misses),
+            degraded_sec: (self.degraded_sec - base.degraded_sec).max(0.0),
+            latencies: self.latencies.delta(&base.latencies),
+            queue_waits: self.queue_waits.delta(&base.queue_waits),
+            device_queues: self.device_queues.delta(&base.device_queues),
+            plan_hits: self.plan_hits.delta(&base.plan_hits),
+            plan_misses: self.plan_misses.delta(&base.plan_misses),
+            build_hits: self.build_hits.delta(&base.build_hits),
+            build_misses: self.build_misses.delta(&base.build_misses),
+            first_submit: self.first_submit,
+            last_done: self.last_done,
+        }
+    }
+
+    /// Serving wall: first submission → last completion (0 before any).
+    pub(crate) fn wall_sec(&self) -> f64 {
+        match (self.first_submit, self.last_done) {
+            (Some(a), Some(b)) => b.saturating_duration_since(a).as_secs_f64(),
+            _ => 0.0,
+        }
+    }
+
+    /// Completed sessions per second of serving wall. Degenerate walls
+    /// never surface NaN/inf: a state with no completion has no wall at
+    /// all, and a single session can complete within one clock tick
+    /// (`wall == 0.0` with `completed > 0`). Both collapse to 0.
+    pub(crate) fn qps(&self) -> f64 {
+        let wall = self.wall_sec();
+        if wall > 0.0 {
+            self.completed as f64 / wall
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Cumulative state captured in one pass over the service's locks — the
+/// single input every report is derived from. A tenant's snapshot holds
+/// its metrics and cache partitions; the service's is the
+/// [`absorb`](Self::absorb) of every tenant's plus the pool and gate.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Snapshot {
+    pub(crate) metrics: MetricsState,
+    pub(crate) cache: CacheStats,
+    pub(crate) cst_cache: CacheStats,
+    /// Point-in-time.
+    pub(crate) cst_resident_bytes: usize,
+    /// Monotone counters plus point-in-time health and outstanding work.
+    pub(crate) devices: Vec<DeviceStats>,
+    /// Point-in-time.
+    pub(crate) in_flight: usize,
+    /// Lifetime high-water mark.
+    pub(crate) max_in_flight: usize,
+}
+
+impl Snapshot {
+    /// Folds a tenant's snapshot into the service-wide one.
+    pub(crate) fn absorb(&mut self, tenant: &Snapshot) {
+        self.metrics.merge(&tenant.metrics);
+        self.cache.absorb(&tenant.cache);
+        self.cst_cache.absorb(&tenant.cst_cache);
+        self.cst_resident_bytes += tenant.cst_resident_bytes;
+    }
+
+    /// Monotone state accumulated since `base`; point-in-time fields are
+    /// carried over from `self`.
+    pub(crate) fn delta(&self, base: &Snapshot) -> Snapshot {
+        Snapshot {
+            metrics: self.metrics.delta(&base.metrics),
+            cache: self.cache.delta(&base.cache),
+            cst_cache: self.cst_cache.delta(&base.cst_cache),
+            devices: self
+                .devices
+                .iter()
+                .enumerate()
+                .map(|(i, d)| base.devices.get(i).map_or(*d, |b| d.delta(b)))
+                .collect(),
+            cst_resident_bytes: self.cst_resident_bytes,
+            in_flight: self.in_flight,
+            max_in_flight: self.max_in_flight,
+        }
+    }
+}
+
+/// Fleet aggregates over a device-stats vector (lifetime counters for a
+/// lifetime report, window deltas for a window report).
+struct PoolView {
+    makespan_sec: f64,
+    busy_sec: f64,
+    imbalance: f64,
+}
+
+impl PoolView {
+    fn from_stats(stats: &[DeviceStats]) -> PoolView {
+        let max = stats.iter().map(|d| d.total_workload).fold(0.0, f64::max);
+        let mean = if stats.is_empty() {
+            0.0
+        } else {
+            stats.iter().map(|d| d.total_workload).sum::<f64>() / stats.len() as f64
+        };
+        PoolView {
+            makespan_sec: stats.iter().map(|d| d.busy_sec).fold(0.0, f64::max),
+            busy_sec: stats.iter().map(|d| d.busy_sec).sum(),
+            imbalance: if mean == 0.0 { 1.0 } else { max / mean },
+        }
+    }
 }
 
 /// Identifies a rolling-window report (see
@@ -159,6 +325,9 @@ pub struct ServeReport {
     /// High-water mark of concurrently admitted sessions (lifetime, even
     /// in window reports).
     pub max_in_flight: usize,
+    /// Sessions holding an execution permit at report time
+    /// (point-in-time, also in window reports).
+    pub in_flight: usize,
     /// Per-tenant slices, ordered by tenant id (the default tenant first).
     /// Empty in window reports — windows slice time, not tenants.
     pub tenants: Vec<TenantSummary>,
@@ -207,36 +376,57 @@ pub struct TenantSummary {
 }
 
 impl ServeReport {
-    /// Builds the latency/queue aggregates from the streaming
-    /// histograms. All inputs are per-session seconds; the three
-    /// latency-shaped histograms are kept on the report so window
-    /// deltas and exports can reuse the exact bucket counts.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn aggregate(
-        &mut self,
-        latencies: &Histogram,
-        queue_waits: &Histogram,
-        device_queues: &Histogram,
-        plan_hits: &Histogram,
-        plan_misses: &Histogram,
-        build_hits: &Histogram,
-        build_misses: &Histogram,
-    ) {
-        self.latency_p50 = latencies.quantile(0.50);
-        self.latency_p99 = latencies.quantile(0.99);
-        self.latency_mean = latencies.mean();
-        self.queue_wait_p50 = queue_waits.quantile(0.50);
-        self.queue_wait_p99 = queue_waits.quantile(0.99);
-        self.device_queue_p50 = device_queues.quantile(0.50);
-        self.device_queue_p99 = device_queues.quantile(0.99);
-        self.device_queue_mean = device_queues.mean();
-        self.plan_hit_mean_sec = plan_hits.mean();
-        self.plan_miss_mean_sec = plan_misses.mean();
-        self.build_hit_mean_sec = build_hits.mean();
-        self.build_miss_mean_sec = build_misses.mean();
-        self.latency_hist = latencies.clone();
-        self.queue_wait_hist = queue_waits.clone();
-        self.device_queue_hist = device_queues.clone();
+    /// Derives a report from a snapshot: counters copy over, quantiles
+    /// and means read from the histograms (which are kept on the report
+    /// so window deltas and exports can reuse the exact bucket counts),
+    /// and the fleet aggregates come from the device stats.
+    pub(crate) fn from_snapshot(s: &Snapshot, tenants: Vec<TenantSummary>) -> ServeReport {
+        let m = &s.metrics;
+        let pool = PoolView::from_stats(&s.devices);
+        let report = ServeReport {
+            window: None,
+            submitted: m.submitted,
+            completed: m.completed,
+            failed: m.failed,
+            deadline_misses: m.deadline_misses,
+            retries: m.retries,
+            failovers: m.failovers,
+            // Quarantines live on the devices, not the sessions: the pool
+            // snapshot is their ground truth.
+            quarantines: s.devices.iter().map(|d| d.quarantines).sum(),
+            corruption_catches: m.corruption_catches,
+            degraded_sec: m.degraded_sec,
+            total_embeddings: m.total_embeddings,
+            cache: s.cache,
+            cst_cache: s.cst_cache,
+            cst_resident_bytes: s.cst_resident_bytes,
+            qps: m.qps(),
+            wall_sec: m.wall_sec(),
+            latency_p50: m.latencies.quantile(0.50),
+            latency_p99: m.latencies.quantile(0.99),
+            latency_mean: m.latencies.mean(),
+            queue_wait_p50: m.queue_waits.quantile(0.50),
+            queue_wait_p99: m.queue_waits.quantile(0.99),
+            device_queue_p50: m.device_queues.quantile(0.50),
+            device_queue_p99: m.device_queues.quantile(0.99),
+            device_queue_mean: m.device_queues.mean(),
+            plan_hit_mean_sec: m.plan_hits.mean(),
+            plan_miss_mean_sec: m.plan_misses.mean(),
+            build_hit_mean_sec: m.build_hits.mean(),
+            build_miss_mean_sec: m.build_misses.mean(),
+            latency_hist: m.latencies.clone(),
+            queue_wait_hist: m.queue_waits.clone(),
+            device_queue_hist: m.device_queues.clone(),
+            devices: s.devices.clone(),
+            device_makespan_sec: pool.makespan_sec,
+            device_busy_sec: pool.busy_sec,
+            device_imbalance: pool.imbalance,
+            max_in_flight: s.max_in_flight,
+            in_flight: s.in_flight,
+            tenants,
+        };
+        debug_assert!(report.is_finite(), "report must never surface NaN/inf");
+        report
     }
 
     /// Whether every derived rate/percentile field is finite — the
@@ -276,11 +466,11 @@ impl ServeReport {
         .all(|v| v.is_finite())
     }
 
-    /// Renders the report as Prometheus text exposition lines
-    /// (`serve_*` metrics plus a cumulative latency histogram). The
-    /// service-level exposition
-    /// ([`FastService::prometheus_text`](crate::FastService::prometheus_text))
-    /// prepends the global `obs` registry to this.
+    /// Renders the report as Prometheus text exposition lines: the
+    /// `serve_*` families, one name per quantity, plus a cumulative
+    /// latency histogram. This is the whole service-level exposition
+    /// ([`FastService::prometheus_text`](crate::FastService::prometheus_text)),
+    /// so two services in one process never export each other's sessions.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
         let mut c = |name: &str, help: &str, v: u64| {
@@ -333,6 +523,30 @@ impl ServeReport {
             "Tier-2 shard-CST cache misses",
             self.cst_cache.misses,
         );
+        c(
+            "serve_device_evictions_total",
+            "Devices permanently evicted from the pool",
+            self.devices
+                .iter()
+                .filter(|d| d.health == HealthState::Evicted)
+                .count() as u64,
+        );
+        let partitions = |class: BackendClass| -> u64 {
+            self.devices
+                .iter()
+                .filter(|d| d.class == class)
+                .map(|d| d.partitions)
+                .sum()
+        };
+        let name = "serve_partitions_total";
+        out.push_str(&format!(
+            "# HELP {name} Partitions executed on pool devices, by backend\n\
+             # TYPE {name} counter\n\
+             {name}{{backend=\"fpga\"}} {}\n\
+             {name}{{backend=\"cpu\"}} {}\n",
+            partitions(BackendClass::Fpga),
+            partitions(BackendClass::Cpu),
+        ));
         let mut g = |name: &str, help: &str, v: f64| {
             let v = if v.is_finite() { v } else { 0.0 };
             out.push_str(&format!(
@@ -354,6 +568,11 @@ impl ServeReport {
             "serve_max_in_flight",
             "High-water mark of concurrent sessions",
             self.max_in_flight as f64,
+        );
+        g(
+            "serve_in_flight",
+            "Sessions holding an execution permit",
+            self.in_flight as f64,
         );
         // Cumulative Prometheus histogram of session latency.
         let name = "serve_latency_seconds";
@@ -384,15 +603,15 @@ mod tests {
     #[test]
     fn percentile_nearest_rank() {
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 0.50), 50.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        // Unsorted input is handled.
-        assert_eq!(percentile(&[3.0, 1.0, 2.0], 0.5), 2.0);
-        // The sort-once path agrees on sorted input.
+        assert_eq!(percentile_sorted(&v, 0.50), 50.0);
         assert_eq!(percentile_sorted(&v, 0.99), 99.0);
+        assert_eq!(percentile_sorted(&v, 1.0), 100.0);
+        assert_eq!(percentile_sorted(&v, 0.0), 1.0);
+        assert_eq!(percentile_sorted(&[], 0.5), 0.0);
+        // Unsorted input is sorted once by the caller.
+        let mut u = [3.0, 1.0, 2.0];
+        u.sort_by(f64::total_cmp);
+        assert_eq!(percentile_sorted(&u, 0.5), 2.0);
     }
 
     fn hist_of(samples: &[f64]) -> Histogram {
@@ -405,16 +624,20 @@ mod tests {
 
     #[test]
     fn aggregate_fills_fields() {
-        let mut r = ServeReport::default();
-        r.aggregate(
-            &hist_of(&[1.0, 2.0, 3.0]),
-            &hist_of(&[0.5]),
-            &hist_of(&[0.1, 0.3]),
-            &hist_of(&[0.0, 0.0]),
-            &hist_of(&[1.0]),
-            &hist_of(&[0.0]),
-            &hist_of(&[2.0, 4.0]),
-        );
+        let s = Snapshot {
+            metrics: MetricsState {
+                latencies: hist_of(&[1.0, 2.0, 3.0]),
+                queue_waits: hist_of(&[0.5]),
+                device_queues: hist_of(&[0.1, 0.3]),
+                plan_hits: hist_of(&[0.0, 0.0]),
+                plan_misses: hist_of(&[1.0]),
+                build_hits: hist_of(&[0.0]),
+                build_misses: hist_of(&[2.0, 4.0]),
+                ..MetricsState::default()
+            },
+            ..Snapshot::default()
+        };
+        let r = ServeReport::from_snapshot(&s, Vec::new());
         // Histogram quantiles are bucket-midpoint representatives:
         // assert within the documented ~6% relative error.
         let close = |got: f64, want: f64| (got - want).abs() <= 0.07 * want.max(1e-9);
@@ -433,27 +656,61 @@ mod tests {
 
     #[test]
     fn empty_aggregate_is_finite() {
-        let mut r = ServeReport::default();
-        let e = Histogram::new();
-        r.aggregate(&e, &e, &e, &e, &e, &e, &e);
+        let mut r = ServeReport::from_snapshot(&Snapshot::default(), Vec::new());
         assert!(r.is_finite());
         assert_eq!(r.latency_p99, 0.0);
         assert_eq!(r.device_queue_p50, 0.0);
+        assert_eq!(r.device_imbalance, 1.0, "idle pool is balanced by definition");
         r.window = Some(WindowInfo { seq: 3, wall_sec: 0.0 });
         assert!(r.is_finite());
     }
 
     #[test]
-    fn prometheus_text_renders_counters_and_histogram() {
-        let mut r = ServeReport {
-            submitted: 5,
-            completed: 4,
-            qps: 12.5,
-            ..ServeReport::default()
+    fn merge_sums_counters_and_spans_walls() {
+        let t0 = Instant::now();
+        let t1 = t0 + std::time::Duration::from_secs(1);
+        let t2 = t0 + std::time::Duration::from_secs(2);
+        let a = MetricsState {
+            submitted: 2,
+            completed: 1,
+            latencies: hist_of(&[0.1]),
+            first_submit: Some(t1),
+            last_done: Some(t1),
+            ..MetricsState::default()
         };
-        let h = hist_of(&[0.001, 0.002, 0.004]);
-        r.aggregate(&h, &h, &h, &h, &h, &h, &h);
-        let text = r.prometheus_text();
+        let b = MetricsState {
+            submitted: 3,
+            completed: 3,
+            latencies: hist_of(&[0.2, 0.3, 0.4]),
+            first_submit: Some(t0),
+            last_done: Some(t2),
+            ..MetricsState::default()
+        };
+        let mut m = MetricsState::default();
+        m.merge(&a);
+        m.merge(&b);
+        assert_eq!((m.submitted, m.completed), (5, 4));
+        assert_eq!(m.latencies.count(), 4);
+        assert_eq!((m.first_submit, m.last_done), (Some(t0), Some(t2)));
+        assert_eq!(m.wall_sec(), 2.0);
+        assert_eq!(m.qps(), 2.0);
+        // A lone instantaneous session has zero wall: QPS 0, not inf.
+        assert_eq!(a.qps(), 0.0);
+        assert_eq!(m.delta(&m).submitted, 0);
+    }
+
+    #[test]
+    fn prometheus_text_renders_counters_and_histogram() {
+        let s = Snapshot {
+            metrics: MetricsState {
+                submitted: 5,
+                completed: 4,
+                latencies: hist_of(&[0.001, 0.002, 0.004]),
+                ..MetricsState::default()
+            },
+            ..Snapshot::default()
+        };
+        let text = ServeReport::from_snapshot(&s, Vec::new()).prometheus_text();
         assert!(text.contains("serve_sessions_submitted_total 5"));
         assert!(text.contains("# TYPE serve_latency_seconds histogram"));
         assert!(text.contains("serve_latency_seconds_count 3"));

@@ -40,17 +40,17 @@
 //!    cost models), its result is streamed to the session handle, and
 //!    the session lands on the pool's **completion queue** to be resumed
 //!    by whichever executor drains it next.
-//! 5. The final [`QueryReport`] closes the session, service and tenant
-//!    metrics are folded in, and the execution permit is released.
+//! 5. The final [`QueryReport`] closes the session, the tenant's metrics
+//!    are folded in, and the execution permit is released.
 //!
 //! Serving executes every partition on the device pool (the multi-FPGA
 //! regime of Section VII-E, generalised to heterogeneous backends); the
 //! single-run CPU-share scheduler (FAST-SHARE's δ) is not booked here —
 //! `run_fast` remains the one-shot path.
 
-use crate::cache::{CacheBudget, CacheStats, CstCache, PlanCache};
-use crate::devices::{DeviceKind, DevicePool, DeviceStats};
-use crate::metrics::{ServeReport, TenantSummary};
+use crate::cache::{CacheBudget, CstCache, PlanCache};
+use crate::devices::{DeviceKind, DevicePool};
+use crate::metrics::{MetricsState, ServeReport, Snapshot, TenantSummary, WindowInfo};
 use crate::tenant::{TenantConfig, TenantId, WrrQueue};
 use cst::PlanKey;
 use fast::{
@@ -449,6 +449,8 @@ struct TenantState {
     cache: Mutex<PlanCache>,
     /// Tier 2: partition decompositions, byte-budgeted.
     cst_cache: Mutex<CstCache>,
+    /// The tenant's session metrics: the service's only store of them
+    /// (service totals merge every tenant's).
     metrics: Mutex<MetricsState>,
 }
 
@@ -474,65 +476,6 @@ struct Gate {
     max_seen: usize,
 }
 
-/// Sample distributions are streaming log-bucketed [`obs::Histogram`]s:
-/// constant memory on a service that runs forever (the predecessor was a
-/// strided sample reservoir that still held 2¹⁶ floats per set), exact
-/// mergeable bucket counts (so [`FastService::report_window`] deltas
-/// reconcile bit-exactly against the lifetime report on every integer
-/// counter), and quantiles read without any per-report sort.
-#[derive(Default, Clone)]
-struct MetricsState {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    total_embeddings: u64,
-    retries: u64,
-    failovers: u64,
-    corruption_catches: u64,
-    deadline_misses: u64,
-    degraded_sec: f64,
-    latencies: obs::Histogram,
-    queue_waits: obs::Histogram,
-    device_queues: obs::Histogram,
-    plan_hits: obs::Histogram,
-    plan_misses: obs::Histogram,
-    build_hits: obs::Histogram,
-    build_misses: obs::Histogram,
-    first_submit: Option<Instant>,
-    last_done: Option<Instant>,
-}
-
-impl MetricsState {
-    /// Counters accumulated since `base` was captured — the rolling-window
-    /// delta. Integer counters and histogram bucket counts subtract
-    /// exactly; the f64 sums (`degraded_sec`, histogram sums) subtract in
-    /// floating point and are clamped non-negative.
-    fn delta(&self, base: &MetricsState) -> MetricsState {
-        MetricsState {
-            submitted: self.submitted.saturating_sub(base.submitted),
-            completed: self.completed.saturating_sub(base.completed),
-            failed: self.failed.saturating_sub(base.failed),
-            total_embeddings: self.total_embeddings.saturating_sub(base.total_embeddings),
-            retries: self.retries.saturating_sub(base.retries),
-            failovers: self.failovers.saturating_sub(base.failovers),
-            corruption_catches: self
-                .corruption_catches
-                .saturating_sub(base.corruption_catches),
-            deadline_misses: self.deadline_misses.saturating_sub(base.deadline_misses),
-            degraded_sec: (self.degraded_sec - base.degraded_sec).max(0.0),
-            latencies: self.latencies.delta(&base.latencies),
-            queue_waits: self.queue_waits.delta(&base.queue_waits),
-            device_queues: self.device_queues.delta(&base.device_queues),
-            plan_hits: self.plan_hits.delta(&base.plan_hits),
-            plan_misses: self.plan_misses.delta(&base.plan_misses),
-            build_hits: self.build_hits.delta(&base.build_hits),
-            build_misses: self.build_misses.delta(&base.build_misses),
-            first_submit: self.first_submit,
-            last_done: self.last_done,
-        }
-    }
-}
-
 /// Baseline captured at the previous [`FastService::report_window`] call:
 /// the next window report is the current cumulative state minus this.
 struct WindowState {
@@ -540,84 +483,7 @@ struct WindowState {
     seq: u64,
     /// When the baseline was captured (service start for window 0).
     taken_at: Instant,
-    metrics: MetricsState,
-    cache: CacheStats,
-    cst_cache: CacheStats,
-    devices: Vec<DeviceStats>,
-}
-
-/// Point-in-time view of the device pool, taken under its lock and
-/// aggregated lock-free.
-struct PoolView {
-    stats: Vec<DeviceStats>,
-    makespan_sec: f64,
-    busy_sec: f64,
-    imbalance: f64,
-}
-
-impl PoolView {
-    /// Derives the fleet aggregates from an explicit stats vector — used
-    /// on window deltas, where makespan/busy/imbalance should describe the
-    /// window's own activity rather than the lifetime totals.
-    fn from_stats(stats: Vec<DeviceStats>) -> PoolView {
-        let makespan_sec = stats.iter().map(|d| d.busy_sec).fold(0.0, f64::max);
-        let busy_sec = stats.iter().map(|d| d.busy_sec).sum();
-        let max = stats.iter().map(|d| d.total_workload).fold(0.0, f64::max);
-        let mean = if stats.is_empty() {
-            0.0
-        } else {
-            stats.iter().map(|d| d.total_workload).sum::<f64>() / stats.len() as f64
-        };
-        let imbalance = if mean == 0.0 { 1.0 } else { max / mean };
-        PoolView {
-            stats,
-            makespan_sec,
-            busy_sec,
-            imbalance,
-        }
-    }
-}
-
-/// Registry handles for the hot-path serving counters, resolved once at
-/// service construction (the registry lock is never taken per session).
-/// The counters mirror the `MetricsState` fields one-for-one — the
-/// `prop_obs` suite reconciles the two exactly.
-struct ObsHooks {
-    submitted: Arc<obs::Counter>,
-    completed: Arc<obs::Counter>,
-    failed: Arc<obs::Counter>,
-    deadline_misses: Arc<obs::Counter>,
-    retries: Arc<obs::Counter>,
-    failovers: Arc<obs::Counter>,
-    corruption_catches: Arc<obs::Counter>,
-    in_flight: Arc<obs::Gauge>,
-}
-
-impl ObsHooks {
-    fn new() -> Self {
-        // `obs_` prefix: these are the *live* registry counters; the
-        // report-derived exposition renders the same quantities under
-        // `serve_*`, and one exposition must not repeat a metric name.
-        ObsHooks {
-            submitted: obs::counter("obs_sessions_submitted_total", "Sessions admitted"),
-            completed: obs::counter("obs_sessions_completed_total", "Sessions completed"),
-            failed: obs::counter("obs_sessions_failed_total", "Sessions failed"),
-            deadline_misses: obs::counter(
-                "obs_deadline_misses_total",
-                "Sessions shed past their deadline",
-            ),
-            retries: obs::counter("obs_retries_total", "Failed attempts retried"),
-            failovers: obs::counter(
-                "obs_failovers_total",
-                "Retries rerouted to a different device",
-            ),
-            corruption_catches: obs::counter(
-                "obs_corruption_catches_total",
-                "Corrupted outputs outvoted by the cross-check",
-            ),
-            in_flight: obs::gauge("obs_in_flight", "Currently admitted sessions"),
-        }
-    }
+    base: Snapshot,
 }
 
 /// A unit of session work on an executor deque. Tasks are one `u64`
@@ -787,12 +653,8 @@ struct Inner {
     wake_cond: Condvar,
     shutting_down: AtomicBool,
     gate: Mutex<Gate>,
-    /// Service-wide metrics (per-tenant slices live in `TenantState`).
-    metrics: Mutex<MetricsState>,
     /// Baseline for the next [`FastService::report_window`] delta.
     window: Mutex<WindowState>,
-    /// Cached obs registry counter handles for the serving hot path.
-    hooks: ObsHooks,
 }
 
 impl Inner {
@@ -881,16 +743,11 @@ impl FastService {
             wake_cond: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             gate: Mutex::new(Gate::default()),
-            metrics: Mutex::new(MetricsState::default()),
             window: Mutex::new(WindowState {
                 seq: 0,
                 taken_at: Instant::now(),
-                metrics: MetricsState::default(),
-                cache: CacheStats::default(),
-                cst_cache: CacheStats::default(),
-                devices: Vec::new(),
+                base: Snapshot::default(),
             }),
-            hooks: ObsHooks::new(),
             config,
         });
         let workers = (0..inner.config.workers)
@@ -1038,16 +895,10 @@ impl FastService {
         let (tx, rx) = mpsc::channel();
         let now = Instant::now();
         {
-            let mut m = self.inner.metrics.plock();
-            m.submitted += 1;
-            m.first_submit.get_or_insert(now);
-        }
-        {
             let mut m = tenant.metrics.plock();
             m.submitted += 1;
             m.first_submit.get_or_insert(now);
         }
-        self.inner.hooks.submitted.inc();
         let submission = Submission {
             id,
             tenant,
@@ -1075,52 +926,14 @@ impl FastService {
     /// aggregation runs with no lock held, so a report never stalls
     /// admission or dispatch.
     pub fn report(&self) -> ServeReport {
-        let metrics = self.inner.metrics.plock().clone();
-        let tenants: Vec<Arc<TenantState>> = self
-            .inner
-            .tenants
-            .pread()
-            .values()
-            .cloned()
-            .collect();
-        let mut cache = CacheStats::default();
-        let mut cst_cache = CacheStats::default();
-        let mut cst_resident_bytes = 0usize;
-        let mut summaries = Vec::with_capacity(tenants.len());
-        for t in &tenants {
-            cache.absorb(&t.cache.plock().stats());
-            {
-                let cc = t.cst_cache.plock();
-                cst_cache.absorb(&cc.stats());
-                cst_resident_bytes += cc.resident_bytes();
-            }
-            summaries.push(tenant_summary(t));
-        }
-        let pool = {
-            let devices = self.inner.devices.plock();
-            PoolView {
-                stats: devices.snapshot(),
-                makespan_sec: devices.makespan_sec(),
-                busy_sec: devices.busy_sec(),
-                imbalance: devices.imbalance(),
-            }
-        };
-        let max_seen = self.inner.gate.plock().max_seen;
-        assemble_report(
-            &metrics,
-            cache,
-            cst_cache,
-            cst_resident_bytes,
-            &pool,
-            max_seen,
-            summaries,
-        )
+        let (snapshot, tenants) = self.snapshot();
+        ServeReport::from_snapshot(&snapshot, tenants)
     }
 
     /// A single tenant's report slice.
     pub fn tenant_report(&self, tenant: TenantId) -> Result<TenantSummary, ServeError> {
         let state = self.inner.tenant(tenant)?;
-        Ok(tenant_summary(&state))
+        Ok(tenant_summary(&state, &tenant_snapshot(&state)))
     }
 
     /// A rolling-window report: everything since the previous
@@ -1128,75 +941,55 @@ impl FastService {
     /// Integer counters and histogram bucket counts are exact deltas of
     /// the lifetime state — summing them across every window of a run
     /// reconciles bit-exactly with the final lifetime [`ServeReport`].
-    /// Point-in-time fields (`cst_resident_bytes`, device health and
-    /// outstanding workload, `max_in_flight`) are current values, and the
-    /// per-tenant slices are empty — windows slice time, not tenants.
+    /// Point-in-time fields (`cst_resident_bytes`, `in_flight`, device
+    /// health and outstanding workload, `max_in_flight`) are current
+    /// values, and the per-tenant slices are empty — windows slice time,
+    /// not tenants.
     pub fn report_window(&self) -> ServeReport {
         let now = Instant::now();
-        // Snapshot cumulative state (same brief per-lock passes as
-        // `report`), then delta against the stored baseline.
-        let metrics = self.inner.metrics.plock().clone();
-        let tenants: Vec<Arc<TenantState>> =
-            self.inner.tenants.pread().values().cloned().collect();
-        let mut cache = CacheStats::default();
-        let mut cst_cache = CacheStats::default();
-        let mut cst_resident_bytes = 0usize;
-        for t in &tenants {
-            cache.absorb(&t.cache.plock().stats());
-            {
-                let cc = t.cst_cache.plock();
-                cst_cache.absorb(&cc.stats());
-                cst_resident_bytes += cc.resident_bytes();
-            }
-        }
-        let device_stats = self.inner.devices.plock().snapshot();
-        let max_seen = self.inner.gate.plock().max_seen;
-
+        let (current, _) = self.snapshot();
         let mut window = self.inner.window.plock();
         let wall_sec = now.duration_since(window.taken_at).as_secs_f64();
-        let mut delta = metrics.delta(&window.metrics);
+        let mut delta = current.delta(&window.base);
         // The window wall is baseline→now, not first-submit→last-done.
-        delta.first_submit = Some(window.taken_at);
-        delta.last_done = Some(now);
-        let cache_delta = cache.delta(&window.cache);
-        let cst_delta = cst_cache.delta(&window.cst_cache);
-        let stats_delta: Vec<DeviceStats> = device_stats
-            .iter()
-            .enumerate()
-            .map(|(i, d)| window.devices.get(i).map_or(*d, |base| d.delta(base)))
-            .collect();
+        delta.metrics.first_submit = Some(window.taken_at);
+        delta.metrics.last_done = Some(now);
         let seq = window.seq;
         // Advance the baseline: the next window starts here.
         window.seq += 1;
         window.taken_at = now;
-        window.metrics = metrics;
-        window.cache = cache;
-        window.cst_cache = cst_cache;
-        window.devices = device_stats;
+        window.base = current;
         drop(window);
 
-        let pool = PoolView::from_stats(stats_delta);
-        let mut report = assemble_report(
-            &delta,
-            cache_delta,
-            cst_delta,
-            cst_resident_bytes,
-            &pool,
-            max_seen,
-            Vec::new(),
-        );
-        report.window = Some(crate::metrics::WindowInfo { seq, wall_sec });
+        let mut report = ServeReport::from_snapshot(&delta, Vec::new());
+        report.window = Some(WindowInfo { seq, wall_sec });
         debug_assert!(report.is_finite());
         report
     }
 
-    /// Prometheus text exposition: the global `obs` registry (hot-path
-    /// counters, health gauges) followed by the report-derived `serve_*`
-    /// metrics and the cumulative latency histogram.
+    /// Snapshots every tenant (service totals are the merge of the tenant
+    /// states), then the device pool and the admission gate.
+    fn snapshot(&self) -> (Snapshot, Vec<TenantSummary>) {
+        let tenants: Vec<Arc<TenantState>> =
+            self.inner.tenants.pread().values().cloned().collect();
+        let mut total = Snapshot::default();
+        let mut summaries = Vec::with_capacity(tenants.len());
+        for t in &tenants {
+            let s = tenant_snapshot(t);
+            total.absorb(&s);
+            summaries.push(tenant_summary(t, &s));
+        }
+        total.devices = self.inner.devices.plock().snapshot();
+        let gate = self.inner.gate.plock();
+        total.in_flight = gate.in_flight;
+        total.max_in_flight = gate.max_seen;
+        (total, summaries)
+    }
+
+    /// Prometheus text exposition of [`report`](Self::report): the
+    /// `serve_*` families and the cumulative latency histogram.
     pub fn prometheus_text(&self) -> String {
-        let mut out = obs::registry().prometheus_text();
-        out.push_str(&self.report().prometheus_text());
-        out
+        self.report().prometheus_text()
     }
 
     /// Deterministic shutdown: stops accepting submissions, runs every
@@ -1256,17 +1049,25 @@ fn plan_cache_for(config: &ServeConfig, capacity_override: Option<usize>) -> Pla
     }
 }
 
-fn tenant_summary(t: &TenantState) -> TenantSummary {
-    let m = t.metrics.plock().clone();
+/// One tenant's metrics and cache partitions, each lock taken briefly.
+fn tenant_snapshot(t: &TenantState) -> Snapshot {
+    let metrics = t.metrics.plock().clone();
     let cache = t.cache.plock().stats();
-    let (cst_stats, cst_resident_bytes) = {
+    let (cst_cache, cst_resident_bytes) = {
         let cc = t.cst_cache.plock();
         (cc.stats(), cc.resident_bytes())
     };
-    let wall_sec = match (m.first_submit, m.last_done) {
-        (Some(a), Some(b)) => b.saturating_duration_since(a).as_secs_f64(),
-        _ => 0.0,
-    };
+    Snapshot {
+        metrics,
+        cache,
+        cst_cache,
+        cst_resident_bytes,
+        ..Snapshot::default()
+    }
+}
+
+fn tenant_summary(t: &TenantState, s: &Snapshot) -> TenantSummary {
+    let m = &s.metrics;
     TenantSummary {
         tenant: t.id,
         quota: t.quota,
@@ -1280,81 +1081,13 @@ fn tenant_summary(t: &TenantState) -> TenantSummary {
         corruption_catches: m.corruption_catches,
         degraded_sec: m.degraded_sec,
         total_embeddings: m.total_embeddings,
-        qps: if wall_sec > 0.0 {
-            m.completed as f64 / wall_sec
-        } else {
-            0.0
-        },
-        // Histogram nearest-rank quantiles: one bucket scan each, no
-        // per-report sort (the predecessor sorted the full sample vector
-        // twice per summary).
+        qps: m.qps(),
         latency_p50: m.latencies.quantile(0.50),
         latency_p99: m.latencies.quantile(0.99),
-        hit_rate: cache.hit_rate(),
-        cst_hit_rate: cst_stats.hit_rate(),
-        cst_resident_bytes,
+        hit_rate: s.cache.hit_rate(),
+        cst_hit_rate: s.cst_cache.hit_rate(),
+        cst_resident_bytes: s.cst_resident_bytes,
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assemble_report(
-    m: &MetricsState,
-    cache: CacheStats,
-    cst_cache: CacheStats,
-    cst_resident_bytes: usize,
-    pool: &PoolView,
-    max_in_flight: usize,
-    tenants: Vec<TenantSummary>,
-) -> ServeReport {
-    let wall_sec = match (m.first_submit, m.last_done) {
-        (Some(a), Some(b)) => b.saturating_duration_since(a).as_secs_f64(),
-        _ => 0.0,
-    };
-    let mut report = ServeReport {
-        submitted: m.submitted,
-        completed: m.completed,
-        failed: m.failed,
-        deadline_misses: m.deadline_misses,
-        retries: m.retries,
-        failovers: m.failovers,
-        // Quarantines live on the devices, not the sessions: the pool
-        // snapshot is their ground truth.
-        quarantines: pool.stats.iter().map(|d| d.quarantines).sum(),
-        corruption_catches: m.corruption_catches,
-        degraded_sec: m.degraded_sec,
-        total_embeddings: m.total_embeddings,
-        cache,
-        cst_cache,
-        cst_resident_bytes,
-        // Degenerate walls must never surface NaN/inf: a report taken
-        // before any completion has no wall at all, and a single session
-        // can complete within one clock tick (`wall_sec == 0.0` with
-        // `completed > 0`). Both collapse to QPS 0 rather than dividing.
-        qps: if wall_sec > 0.0 {
-            m.completed as f64 / wall_sec
-        } else {
-            0.0
-        },
-        wall_sec,
-        device_makespan_sec: pool.makespan_sec,
-        device_busy_sec: pool.busy_sec,
-        device_imbalance: pool.imbalance,
-        devices: pool.stats.clone(),
-        max_in_flight,
-        tenants,
-        ..ServeReport::default()
-    };
-    report.aggregate(
-        &m.latencies,
-        &m.queue_waits,
-        &m.device_queues,
-        &m.plan_hits,
-        &m.plan_misses,
-        &m.build_hits,
-        &m.build_misses,
-    );
-    debug_assert!(report.is_finite(), "report must never surface NaN/inf");
-    report
 }
 
 /// Releases a single-flight claim on drop — including on a panicking
@@ -1494,7 +1227,6 @@ fn pickup(inner: &Inner) -> bool {
         } else {
             gate.in_flight += 1;
             gate.max_seen = gate.max_seen.max(gate.in_flight);
-            inner.hooks.in_flight.set(gate.in_flight as f64);
             (sub, false)
         }
     };
@@ -1522,7 +1254,7 @@ fn shed_for_shutdown(inner: &Inner, sub: Submission) {
         obs::now_ns(),
         Vec::new(),
     );
-    finish(inner, &sub.tenant, FinishOutcome::Failed);
+    finish(&sub.tenant, FinishOutcome::Failed);
     obs::record_span(
         strack,
         "session",
@@ -1940,7 +1672,7 @@ fn finalize_from_state(inner: &Inner, slot: &SessionSlot) {
 }
 
 /// Retires a session exactly once: folds its fault accounting and
-/// outcome into service + tenant metrics, records the closing spans,
+/// outcome into its tenant's metrics, records the closing spans,
 /// notifies the handle, and releases its execution permit and slab
 /// entry. The `finished` flag flips first, under the session lock —
 /// every racing caller (a stale task, a panic handler) sees it and
@@ -1964,7 +1696,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
     // five times and then missed its deadline still did the retries, and
     // the chaos accounting reconciles service counters against
     // per-device failure counters.
-    fold_faults(inner, tenant, &stats.acc);
+    fold_faults(tenant, &stats.acc);
     match outcome {
         SessionOutcome::Completed => {
             let now = Instant::now();
@@ -1994,7 +1726,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 corruption_catches: stats.acc.corruption_catches,
                 degraded_sec: stats.acc.degraded_sec,
             };
-            finish(inner, tenant, FinishOutcome::Completed(report.clone()));
+            finish(tenant, FinishOutcome::Completed(&report));
             // One "build" span per *completed* session, covering build
             // through last execution — the span the nesting check and
             // the per-completion span counts pin.
@@ -2015,7 +1747,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
             let _ = slot.tx.send(SessionEvent::Done(report));
         }
         SessionOutcome::Shed { at } => {
-            finish(inner, tenant, FinishOutcome::DeadlineMiss);
+            finish(tenant, FinishOutcome::DeadlineMiss);
             obs::event("deadline_shed", "fault", vec![("at", obs::ArgValue::Str(at))]);
             close_session(strack, slot, "shed", stats.embeddings);
             let _ = slot
@@ -2023,7 +1755,7 @@ fn finalize(inner: &Inner, slot: &SessionSlot, outcome: SessionOutcome) {
                 .send(SessionEvent::Failed(ServeError::DeadlineExceeded));
         }
         SessionOutcome::Error(err) => {
-            finish(inner, tenant, FinishOutcome::Failed);
+            finish(tenant, FinishOutcome::Failed);
             close_session(strack, slot, "failed", stats.embeddings);
             let _ = slot.tx.send(SessionEvent::Failed(err));
         }
@@ -2057,7 +1789,6 @@ fn release(inner: &Inner, sid: u64) {
         let mut gate = inner.gate.plock();
         gate.in_flight = gate.in_flight.saturating_sub(1);
         gate.admitted = gate.admitted.saturating_sub(1);
-        inner.hooks.in_flight.set(gate.in_flight as f64);
     }
     inner.sessions.plock().remove(&sid);
     notify_executors(inner);
@@ -2076,23 +1807,12 @@ fn panic_retire(inner: &Inner, sid: u64) {
         s.finished = true;
         s.stage = Stage::Done;
     }
-    let now = Instant::now();
-    {
-        let mut m = inner.metrics.plock();
-        m.failed += 1;
-        m.last_done = Some(now);
-    }
-    {
-        let mut m = slot.tenant.metrics.plock();
-        m.failed += 1;
-        m.last_done = Some(now);
-    }
-    inner.hooks.failed.inc();
+    finish(&slot.tenant, FinishOutcome::Failed);
     release(inner, sid);
 }
 
 /// Per-session fault accounting, accumulated across every partition's
-/// attempts and folded into service + tenant metrics whatever the
+/// attempts and folded into its tenant's metrics whatever the
 /// session's outcome.
 #[derive(Default, Clone, Copy)]
 struct FaultAcc {
@@ -2290,36 +2010,31 @@ fn execute_checked(
     }
 }
 
-/// Folds a session's fault accounting into service + tenant metrics.
-fn fold_faults(inner: &Inner, tenant: &TenantState, acc: &FaultAcc) {
+/// Folds a session's fault accounting into its tenant's metrics.
+fn fold_faults(tenant: &TenantState, acc: &FaultAcc) {
     if acc.retries == 0 && acc.corruption_catches == 0 && acc.degraded_sec == 0.0 {
         return;
     }
-    let fold = |m: &mut MetricsState| {
-        m.retries += acc.retries;
-        m.failovers += acc.failovers;
-        m.corruption_catches += acc.corruption_catches;
-        m.degraded_sec += acc.degraded_sec;
-    };
-    fold(&mut inner.metrics.plock());
-    fold(&mut tenant.metrics.plock());
-    inner.hooks.retries.add(acc.retries);
-    inner.hooks.failovers.add(acc.failovers);
-    inner.hooks.corruption_catches.add(acc.corruption_catches);
+    let mut m = tenant.metrics.plock();
+    m.retries += acc.retries;
+    m.failovers += acc.failovers;
+    m.corruption_catches += acc.corruption_catches;
+    m.degraded_sec += acc.degraded_sec;
 }
 
-enum FinishOutcome {
-    Completed(QueryReport),
+enum FinishOutcome<'a> {
+    Completed(&'a QueryReport),
     Failed,
     DeadlineMiss,
 }
 
-/// Folds a session's outcome into the service-wide and tenant metrics.
-/// The execution permit is released by the session's retirement in
-/// `release`, not here.
-fn finish(inner: &Inner, tenant: &TenantState, outcome: FinishOutcome) {
+/// Folds a session's outcome into its tenant's metrics. The execution
+/// permit is released by the session's retirement in `release`, not
+/// here.
+fn finish(tenant: &TenantState, outcome: FinishOutcome<'_>) {
     let now = Instant::now();
-    let fold = |m: &mut MetricsState| match &outcome {
+    let mut m = tenant.metrics.plock();
+    match outcome {
         FinishOutcome::Completed(report) => {
             m.completed += 1;
             m.total_embeddings += report.embeddings;
@@ -2338,27 +2053,14 @@ fn finish(inner: &Inner, tenant: &TenantState, outcome: FinishOutcome) {
             } else {
                 m.build_misses.record(build_sec);
             }
-            m.last_done = Some(now);
         }
-        FinishOutcome::Failed => {
-            m.failed += 1;
-            m.last_done = Some(now);
-        }
+        FinishOutcome::Failed => m.failed += 1,
         // A shed session is not a failure: it was dropped by policy, and
         // the chaos accounting (`failed == 0` under recoverable schedules)
         // must not conflate the two.
-        FinishOutcome::DeadlineMiss => {
-            m.deadline_misses += 1;
-            m.last_done = Some(now);
-        }
-    };
-    fold(&mut inner.metrics.plock());
-    fold(&mut tenant.metrics.plock());
-    match &outcome {
-        FinishOutcome::Completed(_) => inner.hooks.completed.inc(),
-        FinishOutcome::Failed => inner.hooks.failed.inc(),
-        FinishOutcome::DeadlineMiss => inner.hooks.deadline_misses.inc(),
+        FinishOutcome::DeadlineMiss => m.deadline_misses += 1,
     }
+    m.last_done = Some(now);
 }
 
 #[cfg(test)]
@@ -2582,24 +2284,24 @@ mod tests {
         // land on the same clock tick, so the wall is exactly zero with
         // `completed > 0` — QPS/imbalance must degrade to finite zeros,
         // never divide.
-        let mut m = MetricsState::default();
         let now = Instant::now();
-        m.first_submit = Some(now);
-        m.last_done = Some(now);
-        m.completed = 1;
-        m.submitted = 1;
-        m.latencies.record(0.0);
-        m.queue_waits.record(0.0);
-        m.device_queues.record(0.0);
-        m.plan_misses.record(0.0);
-        let pool = DevicePool::fpga_fleet(&small_config().fast, 1).unwrap();
-        let view = PoolView {
-            stats: pool.snapshot(),
-            makespan_sec: pool.makespan_sec(),
-            busy_sec: pool.busy_sec(),
-            imbalance: pool.imbalance(),
+        let mut s = Snapshot {
+            metrics: MetricsState {
+                first_submit: Some(now),
+                last_done: Some(now),
+                completed: 1,
+                submitted: 1,
+                ..MetricsState::default()
+            },
+            devices: DevicePool::fpga_fleet(&small_config().fast, 1).unwrap().snapshot(),
+            max_in_flight: 1,
+            ..Snapshot::default()
         };
-        let r = assemble_report(&m, CacheStats::default(), CacheStats::default(), 0, &view, 1, Vec::new());
+        s.metrics.latencies.record(0.0);
+        s.metrics.queue_waits.record(0.0);
+        s.metrics.device_queues.record(0.0);
+        s.metrics.plan_misses.record(0.0);
+        let r = ServeReport::from_snapshot(&s, Vec::new());
         assert!(r.is_finite(), "zero-wall report must stay finite: {r:?}");
         assert_eq!(r.qps, 0.0, "zero wall yields zero QPS, not inf/NaN");
         assert_eq!(r.wall_sec, 0.0);

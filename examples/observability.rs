@@ -82,8 +82,8 @@ fn main() {
         let _ = wave;
     }
 
-    // Prometheus text exposition: live obs_* registry counters plus the
-    // serve_* report-derived families.
+    // Prometheus text exposition: the serve_* families, all derived from
+    // the same report as the windows above.
     let prom = service.prometheus_text();
     println!("\nprometheus snapshot ({} lines), head:", prom.lines().count());
     for line in prom.lines().take(8) {

@@ -88,6 +88,17 @@ fn saturated_tenants_complete_in_quota_proportion() {
         slice_a.total_embeddings + slice_b.total_embeddings,
         report.total_embeddings
     );
+    // Service totals are the merge of the tenant states, so every
+    // lifetime integer counter equals the sum over the tenant slices.
+    let sum = |f: fn(&serve::TenantSummary) -> u64| report.tenants.iter().map(f).sum::<u64>();
+    assert_eq!(report.submitted, sum(|t| t.submitted));
+    assert_eq!(report.completed, sum(|t| t.completed));
+    assert_eq!(report.failed, sum(|t| t.failed));
+    assert_eq!(report.deadline_misses, sum(|t| t.deadline_misses));
+    assert_eq!(report.retries, sum(|t| t.retries));
+    assert_eq!(report.failovers, sum(|t| t.failovers));
+    assert_eq!(report.corruption_catches, sum(|t| t.corruption_catches));
+    assert_eq!(report.total_embeddings, sum(|t| t.total_embeddings));
     assert!(
         slice_b.cst_hit_rate > 0.0,
         "repeats hit B's tier-2 cache partition"

@@ -2,13 +2,11 @@
 //! the trace and the metrics pipeline must agree **exactly once** — every
 //! submission records one `session` span, every counted retry/failover/
 //! corruption-catch/quarantine/deadline-shed records one matching trace
-//! event, the `obs_*` registry counters mirror the [`ServeReport`]
-//! fields one-for-one, and rolling [`FastService::report_window`] deltas
-//! sum bit-exactly back to the lifetime report.
+//! event, and rolling [`FastService::report_window`] deltas sum
+//! bit-exactly back to the lifetime report.
 //!
-//! The obs state (tracer + registry) is process-global, so every test
-//! here serializes on one lock and resets the state around its measured
-//! service. Fault strategies never use panic faults: a panicking worker
+//! The obs tracer is process-global, so every test here serializes on
+//! one lock and resets the trace around its measured service. Fault strategies never use panic faults: a panicking worker
 //! cannot close its session span, which is exactly the one exit path the
 //! exactly-once claim excludes.
 
@@ -23,8 +21,8 @@ use std::time::Duration;
 /// The serving studies' query subset (planner-heavy and flat shapes).
 const QUERY_MIX: [usize; 4] = [0, 1, 2, 4];
 
-/// Serializes obs-enabled tests: the tracer and registry are global, so
-/// concurrent test threads would interleave spans and counter bumps.
+/// Serializes obs-enabled tests: the tracer is global, so concurrent
+/// test threads would interleave spans.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -96,20 +94,14 @@ fn obs_config(extra: Vec<DeviceKind>) -> ServeConfig {
     }
 }
 
-/// Current value of a global obs counter (registered on first use).
-fn counter(name: &'static str) -> u64 {
-    obs::counter(name, "").get()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Exactly-once trace/metrics reconciliation under faults: one
     /// `session` span per submission, one `retry`/`failover`/
     /// `corruption_strike`/`quarantine` event per counted occurrence,
-    /// registry counters mirroring the report — and two rolling windows
-    /// that sum bit-exactly (integer counters and histogram buckets)
-    /// back to the lifetime report.
+    /// and two rolling windows that sum bit-exactly (integer counters and
+    /// histogram buckets) back to the lifetime report.
     #[test]
     fn spans_and_counters_reconcile_exactly_once(
         p0 in arb_plan(true),
@@ -160,16 +152,6 @@ proptest! {
         prop_assert_eq!(nev("quarantine"), life.quarantines);
         prop_assert_eq!(nev("deadline_shed"), 0);
 
-        // Registry counters mirror the report one-for-one.
-        prop_assert_eq!(counter("obs_sessions_submitted_total"), life.submitted);
-        prop_assert_eq!(counter("obs_sessions_completed_total"), life.completed);
-        prop_assert_eq!(counter("obs_sessions_failed_total"), life.failed);
-        prop_assert_eq!(counter("obs_deadline_misses_total"), life.deadline_misses);
-        prop_assert_eq!(counter("obs_retries_total"), life.retries);
-        prop_assert_eq!(counter("obs_failovers_total"), life.failovers);
-        prop_assert_eq!(counter("obs_corruption_catches_total"), life.corruption_catches);
-        prop_assert_eq!(counter("obs_quarantines_total"), life.quarantines);
-
         // The two windows partition the lifetime: integer counters and
         // histogram bucket counts reconcile bit-exactly.
         prop_assert_eq!(w0.window.unwrap().seq, 0);
@@ -210,8 +192,7 @@ proptest! {
     }
 
     /// Deadline sheds reconcile too: a zero budget sheds every session
-    /// with one `deadline_shed` event and one closed `session` span each,
-    /// mirrored by the registry counter.
+    /// with one `deadline_shed` event and one closed `session` span each.
     #[test]
     fn deadline_sheds_reconcile(p0 in arb_plan(false)) {
         if !obs::COMPILED {
@@ -238,8 +219,6 @@ proptest! {
         prop_assert_eq!(sheds, life.deadline_misses);
         let sessions = spans.iter().filter(|s| s.name == "session").count() as u64;
         prop_assert_eq!(sessions, life.submitted, "shed sessions still close their span");
-        prop_assert_eq!(counter("obs_deadline_misses_total"), life.deadline_misses);
-        prop_assert_eq!(counter("obs_sessions_completed_total"), 0);
         obs::reset();
     }
 }
