@@ -70,11 +70,11 @@ pub struct BuildStats {
     pub removed_by_refine: Vec<usize>,
     /// Total directed adjacency entries in the final CST.
     pub adjacency_entries: usize,
-    /// Neighbour visits (each a candidate filter evaluation) of the
-    /// top-down pass — the phase-1 scan work, in the same unit as
-    /// `RootProfile::probe_entries`. **0 for seeded builds**
-    /// ([`build_cst_seeded`]), which restrict a memoised candidate space
-    /// instead of re-scanning the graph.
+    /// Neighbour visits of the top-down pass — the phase-1 scan work, in
+    /// the same unit as `RootProfile::probe_entries`. Each distinct (query
+    /// vertex, data vertex) pair is filtered at most once. **0 for seeded
+    /// builds** ([`build_cst_seeded`]), which restrict a memoised candidate
+    /// space instead of re-scanning the graph.
     pub topdown_entries: usize,
 }
 
@@ -183,6 +183,11 @@ pub fn build_cst_from_roots(
         }
         candidates[root.index()] = roots;
     }
+    // Vertices that failed the current level's filter, so each data vertex
+    // is filtered at most once per level; their words are zeroed at level
+    // end (only this level's rejections live in the bitmap).
+    let mut rejected_bits = vec![0u64; words];
+    let mut rejected = Vec::new();
     for &u in &tree.bfs_order()[1..] {
         let up = tree.parent(u).expect("non-root has a parent");
         let filter = &filters[u.index()];
@@ -192,11 +197,20 @@ pub fn build_cst_from_roots(
         for &vp in &candidates[up.index()] {
             for &w in g.neighbors(vp) {
                 topdown_entries += 1;
-                if !test(&member_u, w) && passes(filter, g, w, &mut scratch) {
+                if test(&member_u, w) || test(&rejected_bits, w) {
+                    continue;
+                }
+                if passes(filter, g, w, &mut scratch) {
                     set(&mut member_u, w);
                     cands.push(w);
+                } else {
+                    set(&mut rejected_bits, w);
+                    rejected.push(w);
                 }
             }
+        }
+        for w in rejected.drain(..) {
+            rejected_bits[w.index() / 64] = 0;
         }
         cands.sort_unstable();
         member[u.index()] = member_u;
@@ -341,7 +355,7 @@ fn build_directed_adjacency(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use graph_core::{GraphBuilder, Label, QueryVertexId};
 
@@ -542,5 +556,120 @@ mod tests {
         let (min, _) = build_cst_with_stats(&q, &g, &tree, CstOptions::minimal());
         assert!(full.total_candidates() <= min.total_candidates());
         assert!(full.size_bytes() <= min.size_bytes());
+    }
+
+    /// Path query A–B–C over a graph whose B-labelled hub is adjacent to
+    /// every A root yet fails NLF (it has no C neighbour), so a top-down
+    /// pass visits the same rejected vertex once per parent candidate. Two
+    /// accepted B vertices share their A neighbours, so the C level
+    /// revisits rejected A vertices too. Without NLF the hub passes.
+    pub(crate) fn rejected_hub_fixture() -> (QueryGraph, Graph, BfsTree) {
+        let q = QueryGraph::new(vec![l(0), l(1), l(2)], &[(0, 1), (1, 2)]).unwrap();
+        let mut b = GraphBuilder::new();
+        let roots: Vec<VertexId> = (0..24).map(|_| b.add_vertex(l(0))).collect();
+        let hub = b.add_vertex(l(1));
+        let b1 = b.add_vertex(l(1));
+        let b2 = b.add_vertex(l(1));
+        let lonely = b.add_vertex(l(1)); // degree 1: fails the degree filter
+        let c1 = b.add_vertex(l(2));
+        let c2 = b.add_vertex(l(2));
+        for (i, &a) in roots.iter().enumerate() {
+            b.add_edge(a, hub).unwrap();
+            if i % 2 == 0 {
+                b.add_edge(a, b1).unwrap();
+                b.add_edge(a, b2).unwrap();
+            }
+        }
+        b.add_edge(roots[1], lonely).unwrap();
+        b.add_edge(b1, c1).unwrap();
+        b.add_edge(b2, c1).unwrap();
+        b.add_edge(b2, c2).unwrap();
+        let g = b.build();
+        let tree = BfsTree::new(&q, qv(0));
+        (q, g, tree)
+    }
+
+    /// The top-down pass without the rejection memo: every neighbour visit
+    /// runs the filter again.
+    fn naive_build_from_roots(
+        q: &QueryGraph,
+        g: &Graph,
+        tree: &BfsTree,
+        options: CstOptions,
+        roots: Vec<VertexId>,
+    ) -> (Cst, BuildStats) {
+        let n = q.vertex_count();
+        let words = g.vertex_count().div_ceil(64);
+        let mut member: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
+        let mut candidates: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut entries = 0usize;
+        let mut scratch = Vec::new();
+        let root = tree.root();
+        for &v in &roots {
+            member[root.index()][v.index() / 64] |= 1 << (v.index() % 64);
+        }
+        candidates[root.index()] = roots;
+        for &u in &tree.bfs_order()[1..] {
+            let up = tree.parent(u).unwrap();
+            let filter = CandidateFilter::new(q, u);
+            let mut cands = Vec::new();
+            for &vp in &candidates[up.index()] {
+                for &w in g.neighbors(vp) {
+                    entries += 1;
+                    let bit = 1u64 << (w.index() % 64);
+                    let passes = if options.use_nlf {
+                        filter.passes(g, w, &mut scratch)
+                    } else {
+                        filter.passes_basic(g, w)
+                    };
+                    if member[u.index()][w.index() / 64] & bit == 0 && passes {
+                        member[u.index()][w.index() / 64] |= bit;
+                        cands.push(w);
+                    }
+                }
+            }
+            cands.sort_unstable();
+            candidates[u.index()] = cands;
+        }
+        refine_and_materialise(q, g, tree, options, candidates, member, entries)
+    }
+
+    #[test]
+    fn topdown_memo_matches_unmemoised_reference() {
+        use graph_core::generators::random_labelled_graph;
+        let (q, g, tree) = rejected_hub_fixture();
+        let mut cases = vec![(q, g, tree)];
+        let queries = [
+            QueryGraph::new(vec![l(0), l(1), l(0)], &[(0, 1), (1, 2), (0, 2)]).unwrap(),
+            QueryGraph::new(
+                vec![l(0), l(1), l(2), l(1)],
+                &[(0, 1), (1, 2), (2, 3), (3, 0)],
+            )
+            .unwrap(),
+        ];
+        for seed in 0..4 {
+            for q in &queries {
+                let g = random_labelled_graph(80, 0.12, 3, seed);
+                let tree = BfsTree::new(q, qv(0));
+                cases.push((q.clone(), g, tree));
+            }
+        }
+        for (q, g, tree) in &cases {
+            for opts in [CstOptions::default(), CstOptions::minimal()] {
+                let roots = root_candidates(q, g, tree, opts);
+                let (cst, stats) = build_cst_from_roots(q, g, tree, opts, roots.clone());
+                let (naive_cst, naive_stats) = naive_build_from_roots(q, g, tree, opts, roots);
+                assert_eq!(cst, naive_cst);
+                assert_eq!(stats, naive_stats);
+            }
+        }
+        // The fixture really exercises the memo: NLF rejects the hub, which
+        // every root reaches.
+        let (q, g, tree) = &cases[0];
+        let (cst, stats) = build_cst_with_stats(q, g, tree, CstOptions::default());
+        assert_eq!(cst.candidates(qv(1)), &[dv(25), dv(26)]);
+        assert!(stats.topdown_entries > 24);
+        let (min, _) = build_cst_with_stats(q, g, tree, CstOptions::minimal());
+        assert!(min.candidates(qv(1)).contains(&dv(24)));
     }
 }

@@ -42,14 +42,8 @@ impl CandidateFilter {
         if !self.passes_basic(g, v) {
             return false;
         }
-        if self.nlf.len() <= 1 {
-            // Single-label neighbourhoods are already implied by the degree
-            // filter when the query vertex has only one neighbour label and
-            // the data vertex label matched — but mixed data neighbourhoods
-            // still need the count check, so only skip when trivially true.
-            if self.nlf.is_empty() {
-                return true;
-            }
+        if self.nlf.is_empty() {
+            return true;
         }
         g.neighbor_label_counts(v, scratch);
         let mut i = 0;

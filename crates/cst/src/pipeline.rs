@@ -173,8 +173,8 @@ pub struct PipelineStats {
     /// Shards built from the probe seed (either 0 or
     /// [`shards`](Self::shards): seeds are derived for all shards or none).
     pub seeded_shards: usize,
-    /// Phase-1 scan work across shard builds (neighbour visits, each a
-    /// filter evaluation — the same unit as `ShardPlan::probe_entries`).
+    /// Phase-1 scan work across shard builds (neighbour visits — the same
+    /// unit as `ShardPlan::probe_entries`).
     /// 0 when every shard was seeded: the probe's single pass replaced the
     /// per-shard scans.
     pub topdown_entries: usize,

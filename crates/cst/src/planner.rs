@@ -241,6 +241,10 @@ const NONTREE_SAMPLE_CAP: usize = 1 << 18;
 /// plan is for.
 const NONTREE_SCAN_BUDGET: usize = 1 << 20;
 
+/// Probe `slot` sentinel: the data vertex failed the current level's
+/// candidate filter (`u32::MAX` marks "not yet seen").
+const REJECTED: u32 = u32::MAX - 1;
+
 /// Per-root probe results: the unrefined tree-edge candidate space (one
 /// top-down pass of Algorithm 1, memoised as per-level CSR **with the
 /// discovered candidate vertices**, so shard builds can be seeded from it —
@@ -276,8 +280,9 @@ pub struct RootProfile {
     /// stores most of its CST in non-tree adjacency), so the probe counts
     /// those edges too — stride-sampled with a deterministic cap.
     nontree: Vec<NonTreeSample>,
-    /// `(vertex, filter)` evaluations of the probe pass — its work unit
-    /// for cost accounting.
+    /// Neighbour visits of the probe pass — its work unit for cost
+    /// accounting. Every visit counts, though each distinct (query vertex,
+    /// data vertex) pair is filtered at most once.
     pub probe_entries: usize,
     /// Modelled sequential CST entry mass: refinement-surviving candidates
     /// plus their tree-adjacency entries towards surviving children and the
@@ -330,20 +335,16 @@ impl RootProfile {
     ) -> RootProfile {
         let root = tree.root();
         let mut profile = RootProfile {
-            weights: vec![1.0; roots.len()],
-            levels: Vec::new(),
             root_vertex: root.index(),
-            hubs: vec![None; roots.len()],
-            alive: Vec::new(),
-            nontree: Vec::new(),
-            probe_entries: 0,
-            entry_mass: 0.0,
+            ..RootProfile::from_weights(vec![1.0; roots.len()])
         };
         let mut scratch = Vec::new();
 
         // Candidate vertex lists per query vertex (root seeded by caller);
         // `slot` maps data vertex → candidate index at the level currently
-        // being built (u32::MAX = absent), reset between levels.
+        // being built (u32::MAX = unseen, REJECTED = failed this level's
+        // filter), reset between levels. The memo filters each data vertex
+        // at most once per level however many parent candidates reach it.
         let mut candidates: Vec<Vec<VertexId>> = vec![Vec::new(); q.vertex_count()];
         candidates[root.index()] = roots.to_vec();
         let mut slot = vec![u32::MAX; g.vertex_count()];
@@ -361,30 +362,35 @@ impl RootProfile {
             };
             level.offsets.push(0);
             let mut discovered: Vec<VertexId> = Vec::new();
+            let mut rejected: Vec<VertexId> = Vec::new();
             for vp in candidates[parent.index()].iter().copied() {
                 for &w in g.neighbors(vp) {
                     profile.probe_entries += 1;
-                    let passes = if options.use_nlf {
-                        filter.passes(g, w, &mut scratch)
-                    } else {
-                        filter.passes_basic(g, w)
-                    };
-                    if !passes {
-                        continue;
-                    }
-                    let idx = if slot[w.index()] == u32::MAX {
-                        let idx = discovered.len() as u32;
-                        slot[w.index()] = idx;
-                        discovered.push(w);
-                        idx
-                    } else {
-                        slot[w.index()]
+                    let idx = match slot[w.index()] {
+                        REJECTED => continue,
+                        u32::MAX => {
+                            let passes = if options.use_nlf {
+                                filter.passes(g, w, &mut scratch)
+                            } else {
+                                filter.passes_basic(g, w)
+                            };
+                            if !passes {
+                                slot[w.index()] = REJECTED;
+                                rejected.push(w);
+                                continue;
+                            }
+                            let idx = discovered.len() as u32;
+                            slot[w.index()] = idx;
+                            discovered.push(w);
+                            idx
+                        }
+                        idx => idx,
                     };
                     level.targets.push(idx);
                 }
                 level.offsets.push(level.targets.len() as u32);
             }
-            for &w in &discovered {
+            for &w in discovered.iter().chain(&rejected) {
                 slot[w.index()] = u32::MAX;
             }
             level.count = discovered.len();
@@ -392,7 +398,23 @@ impl RootProfile {
             candidates[u.index()] = discovered;
             profile.levels.push(level);
         }
+        profile.finish_probe(q, g, tree, &candidates, &mut slot);
+        profile
+    }
 
+    /// The probe after its top-down pass: samples the non-tree candidate
+    /// edges between the per-query-vertex `candidates` (`slot` must be all
+    /// `u32::MAX` on entry and is so again on exit), then runs the weight
+    /// DP, the hub pass and the entry-mass pass.
+    fn finish_probe(
+        &mut self,
+        q: &QueryGraph,
+        g: &Graph,
+        tree: &BfsTree,
+        candidates: &[Vec<VertexId>],
+        slot: &mut [u32],
+    ) {
+        let root = tree.root();
         // Sample the non-tree candidate edges: for every non-tree query
         // edge, scan one endpoint's candidates against the other's
         // membership, keeping every `stride`-th hit (stride doubles when
@@ -403,7 +425,7 @@ impl RootProfile {
             if v == root.index() {
                 0
             } else {
-                1 + profile
+                1 + self
                     .levels
                     .iter()
                     .position(|l| l.vertex == v)
@@ -441,7 +463,7 @@ impl RootProfile {
                     continue;
                 }
                 for &x in g.neighbors(v) {
-                    profile.probe_entries += 1;
+                    self.probe_entries += 1;
                     let wi = slot[x.index()];
                     if wi == u32::MAX {
                         continue;
@@ -468,13 +490,12 @@ impl RootProfile {
             for &x in candidates[w.index()].iter() {
                 slot[x.index()] = u32::MAX;
             }
-            profile.nontree.push(sample);
+            self.nontree.push(sample);
         }
 
-        profile.compute_weights();
-        profile.compute_hubs();
-        profile.compute_entry_mass();
-        profile
+        self.compute_weights();
+        self.compute_hubs();
+        self.compute_entry_mass();
     }
 
     /// Bottom-up `W_CST` dynamic program over the probed levels:
@@ -1519,5 +1540,109 @@ mod tests {
         assert_eq!(candidate_shard_counts(16), vec![1, 2, 4, 8, 16]);
         assert_eq!(candidate_shard_counts(6), vec![1, 2, 4, 6]);
         assert_eq!(candidate_shard_counts(1), vec![1]);
+    }
+
+    /// The probe's top-down pass without the slot memo: every neighbour
+    /// visit runs the filter, then the shared non-tree/DP finish.
+    fn naive_probe(
+        q: &QueryGraph,
+        g: &Graph,
+        tree: &BfsTree,
+        options: CstOptions,
+        roots: &[VertexId],
+    ) -> RootProfile {
+        let root = tree.root();
+        let mut profile = RootProfile {
+            root_vertex: root.index(),
+            ..RootProfile::from_weights(vec![1.0; roots.len()])
+        };
+        let mut scratch = Vec::new();
+        let mut candidates: Vec<Vec<VertexId>> = vec![Vec::new(); q.vertex_count()];
+        candidates[root.index()] = roots.to_vec();
+        for &u in &tree.bfs_order()[1..] {
+            let parent = tree.parent(u).unwrap();
+            let filter = CandidateFilter::new(q, u);
+            let mut level = ProbeLevel {
+                vertex: u.index(),
+                parent: parent.index(),
+                count: 0,
+                offsets: vec![0],
+                targets: Vec::new(),
+                candidates: Vec::new(),
+            };
+            for &vp in &candidates[parent.index()] {
+                for &w in g.neighbors(vp) {
+                    profile.probe_entries += 1;
+                    let passes = if options.use_nlf {
+                        filter.passes(g, w, &mut scratch)
+                    } else {
+                        filter.passes_basic(g, w)
+                    };
+                    if !passes {
+                        continue;
+                    }
+                    let idx = match level.candidates.iter().position(|&c| c == w) {
+                        Some(i) => i,
+                        None => {
+                            level.candidates.push(w);
+                            level.candidates.len() - 1
+                        }
+                    };
+                    level.targets.push(idx as u32);
+                }
+                level.offsets.push(level.targets.len() as u32);
+            }
+            level.count = level.candidates.len();
+            candidates[u.index()] = level.candidates.clone();
+            profile.levels.push(level);
+        }
+        let mut slot = vec![u32::MAX; g.vertex_count()];
+        profile.finish_probe(q, g, tree, &candidates, &mut slot);
+        profile
+    }
+
+    #[test]
+    fn probe_matches_unmemoised_reference() {
+        use graph_core::generators::random_labelled_graph;
+        use graph_core::{Label, QueryVertexId};
+        let l = Label::new;
+        let (q, g, tree) = crate::construct::tests::rejected_hub_fixture();
+        let mut cases = vec![(q, g, tree)];
+        let queries = [
+            // Triangle: one non-tree edge, so the sampled pass runs too.
+            QueryGraph::new(vec![l(0), l(1), l(0)], &[(0, 1), (1, 2), (0, 2)]).unwrap(),
+            QueryGraph::new(
+                vec![l(0), l(1), l(2), l(1)],
+                &[(0, 1), (1, 2), (2, 3), (3, 0)],
+            )
+            .unwrap(),
+            // Star: three sibling levels under one parent.
+            QueryGraph::new(vec![l(1), l(0), l(2), l(0)], &[(0, 1), (0, 2), (0, 3)]).unwrap(),
+        ];
+        for seed in 0..4 {
+            for q in &queries {
+                let g = random_labelled_graph(80, 0.12, 3, seed);
+                let tree = BfsTree::new(q, QueryVertexId::new(0));
+                cases.push((q.clone(), g, tree));
+            }
+        }
+        for (q, g, tree) in &cases {
+            for opts in [CstOptions::default(), CstOptions::minimal()] {
+                let roots = crate::root_candidates(q, g, tree, opts);
+                let probe = RootProfile::probe(q, g, tree, opts, &roots);
+                assert_eq!(probe, naive_probe(q, g, tree, opts, &roots));
+            }
+        }
+        // On the fixture every root visits the NLF-rejected hub: the memo
+        // filters it once, yet every visit is still counted.
+        let (q, g, tree) = &cases[0];
+        let roots = crate::root_candidates(q, g, tree, CstOptions::default());
+        let probe = RootProfile::probe(q, g, tree, CstOptions::default(), &roots);
+        assert_eq!(
+            probe.levels[0].candidates,
+            vec![VertexId::new(25), VertexId::new(26)]
+        );
+        let root_degrees: usize = roots.iter().map(|&r| g.degree(r) as usize).sum();
+        assert!(probe.probe_entries > root_degrees);
     }
 }

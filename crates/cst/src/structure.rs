@@ -59,7 +59,7 @@ impl CsrAdj {
 }
 
 /// The candidate search tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cst {
     /// Candidate sets, indexed by query vertex; each sorted by vertex id.
     candidates: Vec<Vec<VertexId>>,

@@ -135,9 +135,8 @@ pub struct FastReport {
     /// planner, seeding disabled, or the sequential flow). Either 0 or
     /// equal to [`pipeline_shards`](Self::pipeline_shards).
     pub seeded_shards: usize,
-    /// Phase-1 top-down scan work across shard builds (neighbour visits,
-    /// each a filter evaluation — the same unit as the probe's
-    /// `probe_entries`). 0 when every shard was seeded: the probe's single
+    /// Phase-1 top-down scan work across shard builds (neighbour visits —
+    /// the same unit as the probe's `probe_entries`). 0 when every shard was seeded: the probe's single
     /// pass replaced the per-shard scans. Deterministic (a pure function of
     /// the inputs), unlike the measured walls — the `hostscale` figure's
     /// seeded-vs-cold assertion compares this.
